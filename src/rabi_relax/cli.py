@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -191,9 +190,11 @@ def _resolve_model(cfg: _Config, command: str):
 
 
 def _resolve_jobs(cfg: _Config, args) -> int:
-    jobs = cfg.take("jobs", _as_int, os.cpu_count() or 1)
+    jobs = cfg.take("jobs", _as_int, 1)
     if args.jobs is not None:
-        jobs = cfg.resolved["jobs"] = args.jobs
+        jobs = args.jobs
+    # the worker count never changes the results, so it stays out of the header
+    del cfg.resolved["jobs"]
     if jobs < 1:
         raise ConfigError(f"{cfg.line_of('jobs')}: jobs must be >= 1")
     return jobs

@@ -2,13 +2,14 @@
 
 Two solvers: the full Lindblad master equation (trace preserving) and the
 no-jump Schrodinger equation under the non-Hermitian effective Hamiltonian
-(norm decaying, optionally renormalized observables). Both use fixed-step
-classical RK4. For a linear time-independent generator the RK4 step is the
-degree-4 Taylor polynomial of h*G, so whenever the vectorized generator fits
-in memory we precompute that one-step matrix and apply cached matrix powers
-per sample interval; the stage-wise textbook form is kept for the full
-two-chain basis where the superoperator would be too large. The two paths are
-the same map up to rounding.
+(norm decaying, optionally renormalized observables). For a linear
+time-independent generator the fixed-step classical RK4 step is the degree-4
+Taylor polynomial of h*G, so we precompute that one-step matrix and apply
+cached matrix powers per sample interval. The master equation uses this
+propagator while the vectorized Liouvillian is small (dim^2 <= 1600); above
+that it applies the exact exponential of the sparse Liouvillian to the state
+(scipy's expm_multiply). The two paths differ by the RK4 truncation error,
+about 1e-10 in the observables.
 
 User-facing times are in units of T_c = pi/omega; integration is in 1/omega.
 """
@@ -19,21 +20,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from .hilbert import CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen, build_parity_chain
 from .model import (
     DensityMatrix,
     ModelParams,
-    _dissipator_action,
-    _lowering_for,
-    _pair_decay_diag,
+    _liouvillian_sparse,
     bare_vector,
     build_effective_hamiltonian,
-    build_hamiltonian,
     liouvillian_matrix,
 )
 
-# largest vectorized-generator dimension (dim^2) handled via the propagator path
+# Largest vectorized-generator dimension (dim^2) propagated with the cached dense
+# RK4 matrix. One dense matrix serves every sample interval of a run, but its
+# dim^4 memory and matrix powers lose to the sparse exponential above this size.
 _PROP_SUPERDIM_MAX = 1600
 
 _SUPPORT_TOL = 1e-12
@@ -216,33 +217,6 @@ class _Rk4Propagator:
         return mat
 
 
-def _master_rhs(params: ModelParams, basis):
-    hmat = build_hamiltonian(params, basis).entries
-    a2 = _lowering_for(params, basis)
-    kdiag = _pair_decay_diag(params.cutoff, basis)
-    kappa = params.kappa
-
-    def rhs(r):
-        out = -1j * (hmat @ r - r @ hmat)
-        if kappa:
-            out += _dissipator_action(r, kappa, a2, kdiag)
-        return out
-
-    return rhs
-
-
-def _stage_advance(r: np.ndarray, rhs, dt: float, h_bound: float) -> np.ndarray:
-    m = max(1, math.ceil(dt / h_bound - 1e-12))
-    h = dt / m
-    for _ in range(m):
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h * k2)
-        k4 = rhs(r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return r
-
-
 def _expected_dim(params: ModelParams, basis) -> int:
     if basis in CHAIN_TAGS:
         return params.cutoff.dim
@@ -266,21 +240,24 @@ def _guard_sample(rho: np.ndarray, t_tc: float):
     tr = np.trace(rho).real
     if abs(tr - 1.0) > 1e-6:
         raise SolverError(
-            f"trace drifted to {tr:.9f} at t={t_tc:g} T_c; truncation too tight or step too "
-            "large (raise n_max or lower the step bound)")
+            f"trace drifted to {tr:.9f} at t={t_tc:g} T_c; truncation too tight "
+            "(raise n_max)")
     w_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
     if w_min < -1e-6:
         raise SolverError(
             f"density matrix eigenvalue {w_min:.3e} at t={t_tc:g} T_c; truncation too tight "
-            "or step too large (raise n_max or lower the step bound)")
+            "(raise n_max)")
 
 
 def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
                   store_states: bool = False) -> tuple[Trajectory, DensityMatrix]:
     """Integrate the master equation, sampling observables at t_grid (T_c units).
 
-    Returns the trajectory and the final density matrix. Aborts with a
-    diagnostic if the trace drifts or negativity grows beyond 1e-6.
+    Small generators (dim^2 <= _PROP_SUPERDIM_MAX) use the cached RK4
+    propagator, larger ones the exact exponential of the sparse Liouvillian;
+    the two differ by the RK4 truncation error, about 1e-10. Returns the
+    trajectory and the final density matrix. Aborts with a diagnostic if the
+    trace drifts or negativity grows beyond 1e-6.
     """
     basis = rho0.basis_tag
     dim = _expected_dim(params, basis)
@@ -291,15 +268,18 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
     _check_support(np.diagonal(rho0.entries).real, ns, params)
 
     times, dts = _time_grid(t_grid, params.omega)
-    h_bound = _step_bound(params)
+    if dim * dim <= _PROP_SUPERDIM_MAX:
+        prop = _Rk4Propagator(liouvillian_matrix(params, basis), _step_bound(params))
 
-    use_prop = basis in CHAIN_TAGS and dim * dim <= _PROP_SUPERDIM_MAX
-    if use_prop:
-        prop = _Rk4Propagator(liouvillian_matrix(params, basis), h_bound)
-        v = rho0.entries.reshape(-1).astype(complex)
+        def advance(v, dt):
+            return prop.matrix_for(dt) @ v
     else:
-        rhs = _master_rhs(params, basis)
-        r = rho0.entries.astype(complex)
+        lmat = _liouvillian_sparse(params, basis)
+
+        def advance(v, dt):
+            return expm_multiply(lmat * dt, v)
+
+    v = rho0.entries.reshape(-1).astype(complex)
 
     n_samp = times.size
     photon = np.empty(n_samp)
@@ -310,11 +290,8 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
 
     for i in range(n_samp):
         if dts[i] > 1e-15:
-            if use_prop:
-                v = prop.matrix_for(dts[i]) @ v
-            else:
-                r = _stage_advance(r, rhs, dts[i], h_bound)
-        rho = v.reshape(dim, dim) if use_prop else r
+            v = advance(v, dts[i])
+        rho = v.reshape(dim, dim)
         _guard_sample(rho, times[i])
         diag = np.diagonal(rho).real
         photon[i] = diag @ ns
@@ -324,10 +301,9 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
         if store_states:
             kept.append(rho.copy())
 
-    rho_final = (v.reshape(dim, dim) if use_prop else r).copy()
     traj = Trajectory(times, photon, qubit, trace, purity,
                       tuple(kept) if store_states else None)
-    return traj, DensityMatrix(basis, rho_final)
+    return traj, DensityMatrix(basis, v.reshape(dim, dim).copy())
 
 
 def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
@@ -366,7 +342,8 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
         if n2 > prev * (1.0 + 1e-9) + 1e-12:
             raise SolverError(
                 f"norm grew from {prev:.12g} to {n2:.12g} at t={times[i]:g} T_c; "
-                "step too large for this coupling")
+                f"RK4 step unstable for this coupling at n_max={params.cutoff.n_max} "
+                "(change n_max)")
         prev = n2
         scale = n2 if (renormalize and n2 > 0) else 1.0
         photon[i] = w @ ns / scale

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .hilbert import (
     EVEN,
@@ -243,20 +244,27 @@ def split_jump(params: ModelParams, rho: DensityMatrix) -> tuple[np.ndarray, np.
     return effective, jump
 
 
+def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
+    """Sparse form of `liouvillian_matrix`; about 0.5% of its dim^4 entries are non-zero.
+
+    Row-major vec convention, so vec(A rho B) = kron(A, B^T) vec(rho).
+    """
+    h = sparse.csr_matrix(build_hamiltonian(params, basis).entries)
+    eye = sparse.identity(h.shape[0], format="csr")
+    lmat = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    if params.kappa > 0:
+        a2 = sparse.csr_matrix(_lowering_for(params, basis))
+        kdiag = sparse.diags(_pair_decay_diag(params.cutoff, basis))
+        lmat = lmat + 2.0 * params.kappa * sparse.kron(a2, a2.conj())
+        lmat = lmat - params.kappa * (sparse.kron(kdiag, eye) + sparse.kron(eye, kdiag))
+    return lmat.tocsr()
+
+
 @lru_cache(maxsize=8)
 def liouvillian_matrix(params: ModelParams, basis=EVEN) -> np.ndarray:
     """Vectorized Liouvillian: L @ rho.reshape(-1) == liouvillian_rhs(rho).reshape(-1).
 
-    Row-major vec convention, so vec(A rho B) = kron(A, B^T) vec(rho). The
-    cache is small on purpose: one entry costs dim^4 complex numbers.
+    Dense copy of `_liouvillian_sparse`. The cache is small on purpose: one
+    entry costs dim^4 complex numbers.
     """
-    h = build_hamiltonian(params, basis).entries
-    dim = h.shape[0]
-    eye = np.eye(dim)
-    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    if params.kappa > 0:
-        a2 = _lowering_for(params, basis)
-        kdiag = np.diag(_pair_decay_diag(params.cutoff, basis))
-        lmat = lmat + 2.0 * params.kappa * np.kron(a2, a2.conj())
-        lmat = lmat - params.kappa * (np.kron(kdiag, eye) + np.kron(eye, kdiag))
-    return _frozen(lmat)
+    return _frozen(_liouvillian_sparse(params, basis).toarray())

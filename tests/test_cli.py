@@ -147,9 +147,7 @@ def test_steady_sweep_with_tied_ratio_and_workers(tmp_path, capsys):
     rc1, out1, _ = run(capsys, "steady", "--config", cfg, "--jobs", "1")
     rc2, out2, _ = run(capsys, "steady", "--config", cfg, "--jobs", "2")
     assert rc1 == rc2 == 0
-    payload1 = [l for l in out1.splitlines() if not l.startswith("#")]
-    payload2 = [l for l in out2.splitlines() if not l.startswith("#")]
-    assert payload1 == payload2
+    assert out1 == out2
     _, rows = rows_of(out1)
     assert [r[0] for r in rows] == ["0.1", "0.2", "0.3"]
     # lambda ties the counter-rotating coupling to half of g1 at every point

@@ -49,8 +49,11 @@ def test_master_keeps_physicality_over_long_runs():
     assert np.min(np.linalg.eigvalsh(rho_end.entries)) > -1e-10
 
 
-def test_chain_and_full_basis_propagation_agree():
-    p = params(n_max=8)
+@pytest.mark.parametrize("n_max", [8, 20])
+def test_chain_and_full_basis_propagation_agree(n_max):
+    # at n_max 20 the full basis (superoperator dim 1764) takes the sparse
+    # exponential while the chain keeps the dense RK4 propagator
+    p = params(n_max=n_max)
     chain_rho = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
     full_rho = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"), basis=FULL)
     grid = np.linspace(0.0, 7.0, 15)
