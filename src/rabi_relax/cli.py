@@ -149,15 +149,32 @@ _KEYS = {
 }
 
 
+def _swept_default(cfg: _Config, command: str, key: str):
+    """Base value of an omitted coupling key: the start of a sweep over it, else missing."""
+    if not cfg.has(key):
+        default_axis = "g1" if command == "spectrum" else None
+        for prefix, default in (("sweep", default_axis), ("sweep2", None)):
+            axis = cfg.entries[f"{prefix}_axis"][0] if cfg.has(f"{prefix}_axis") else default
+            if axis == key and cfg.has(f"{prefix}_start"):
+                return cfg.take(f"{prefix}_start", _as_float)
+    return _Config._MISSING
+
+
 def _resolve_couplings(cfg: _Config, command: str) -> tuple[float, float | None, float | None]:
-    """(g1, g2, lambda) in omega units; exactly one of g2/lambda may be set."""
+    """(g1, g2, lambda) in omega units; exactly one of g2/lambda may be set.
+
+    A swept coupling may be omitted; its base value is then the sweep start.
+    """
     if cfg.has("g2") and cfg.has("lambda"):
         raise ConfigError(f"{cfg.line_of('lambda')}: give exactly one of g2 and lambda")
     required = command != "verify"
-    if required and not cfg.has("g2") and not cfg.has("lambda"):
-        raise ConfigError(f"{cfg.path}: give exactly one of g2 and lambda")
-    g1 = cfg.take("g1", _as_float, 0.1 if command == "verify" else _Config._MISSING)
-    g2 = cfg.take("g2", _as_float, None)
+    g2_base = None
+    if required and not cfg.has("lambda"):
+        g2_base = _swept_default(cfg, command, "g2")
+        if g2_base is _Config._MISSING and not cfg.has("g2"):
+            raise ConfigError(f"{cfg.path}: give exactly one of g2 and lambda")
+    g1 = cfg.take("g1", _as_float, _swept_default(cfg, command, "g1") if required else 0.1)
+    g2 = cfg.take("g2", _as_float, g2_base)
     lam = cfg.take("lambda", _as_float, None)
     if not required and g2 is None and lam is None:
         lam = cfg.resolved["lambda"] = 0.5
@@ -363,7 +380,7 @@ def _cmd_spectrum(args) -> _Table:
         for i, ev in enumerate(events):
             footer[f"crossing_{i}"] = (
                 f"{ev.kind} {ev.axis}={ev.value / omega:.12g} levels={ev.levels[0]}-"
-                f"{ev.levels[1]} gap={ev.gap / omega:.12g}")
+                f"{ev.levels[1]} gap={ev.gap / omega:.12g} degenerate={_fmt(ev.degenerate)}")
     if ep_doublet is not None:
         try:
             event = spectra.find_exceptional_point(params, ep_doublet, g1_grid=grid)

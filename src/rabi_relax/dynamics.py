@@ -11,6 +11,10 @@ that it applies the exact exponential of the sparse Liouvillian to the state
 (scipy's expm_multiply). The two paths differ by the RK4 truncation error,
 about 1e-10 in the observables.
 
+Steady states come from long-time relaxation or from the Liouvillian kernel,
+solved with one sparse LU of the trace-bordered Liouvillian; a dense SVD of
+the Liouvillian stays as the audit oracle and resolves degenerate kernels.
+
 User-facing times are in units of T_c = pi/omega; integration is in 1/omega.
 """
 
@@ -20,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
 
 from .hilbert import CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen, build_parity_chain
 from .model import (
@@ -38,6 +43,13 @@ from .model import (
 _PROP_SUPERDIM_MAX = 1600
 
 _SUPPORT_TOL = 1e-12
+
+# Liouvillian singular values below this fraction of the largest span the kernel.
+_KERNEL_RTOL = 1e-10
+
+# Steady-state population allowed in the top two Fock levels; above it the
+# cutoff clips the state and the result is reported as not converged.
+_CUTOFF_POP_MAX = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -413,8 +425,9 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
             residual = float(np.linalg.norm(lmat @ v))
             if residual <= residual_tol:
                 rho = DensityMatrix(parity, v.reshape(dim, dim))
-                return SteadyReport(True, rho, float(ph[-1]), float(ex[-1]), residual,
-                                    float(max(ph.var(), ex.var())))
+                note = _cutoff_note(v[diag_idx].real, ns, params)
+                return SteadyReport(not note, rho, float(ph[-1]), float(ex[-1]), residual,
+                                    float(max(ph.var(), ex.var())), note=note)
     v_avg = v_sum / per_window
     rho = DensityMatrix(parity, v_avg.reshape(dim, dim))
     residual = float(np.linalg.norm(lmat @ v_avg))
@@ -423,38 +436,93 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
                         note=f"no convergence by t={cap_tc:g} T_c (spread {spread:.3e})")
 
 
-def _steady_null_space(params: ModelParams, parity: int, residual_tol: float,
-                       kernel_rtol: float = 1e-10) -> SteadyReport:
+def _cutoff_note(diag: np.ndarray, ns: np.ndarray, params: ModelParams) -> str:
+    """Non-empty when the steady populations reach the top two Fock levels."""
+    top = float(diag[ns >= params.cutoff.n_max - 1].sum())
+    if top > _CUTOFF_POP_MAX:
+        return (f"population {top:.3e} in the top two Fock levels; the cutoff "
+                f"n_max={params.cutoff.n_max} is too tight (raise n_max)")
+    return ""
+
+
+def _svd_kernel(params: ModelParams, parity: int) -> tuple[np.ndarray | None, int]:
+    """Dense-SVD kernel of the Liouvillian: the audit oracle of the direct solve.
+
+    Returns the kernel vector the trace functional projects onto (None when
+    the kernel holds no trace-class state) and the kernel dimension.
+    """
     dim = params.cutoff.dim
-    lmat = liouvillian_matrix(params, parity)
-    _, svals, vh = np.linalg.svd(lmat)
-    tol = svals[0] * kernel_rtol if svals[0] > 0 else kernel_rtol
+    _, svals, vh = np.linalg.svd(liouvillian_matrix(params, parity))
+    tol = svals[0] * _KERNEL_RTOL if svals[0] > 0 else _KERNEL_RTOL
     kernel = vh[svals < tol].conj()
     k_dim = kernel.shape[0]
     if k_dim == 0:
         raise SolverError("Liouvillian kernel not resolved; singular values all above tolerance")
-
-    diag_idx = np.arange(dim) * (dim + 1)
-    traces = kernel[:, diag_idx].sum(axis=1)
+    traces = kernel[:, np.arange(dim) * (dim + 1)].sum(axis=1)
     tnorm = float(np.linalg.norm(traces))
     if tnorm < 1e-12:
+        return None, k_dim
+    return (traces.conj() / tnorm) @ kernel, k_dim
+
+
+def _direct_kernel(params: ModelParams, parity: int,
+                   lsp: sparse.csr_matrix) -> tuple[np.ndarray | None, int]:
+    """Kernel vector by one sparse LU (the "direct" method, arXiv:1504.06768).
+
+    Trace preservation makes the diagonal rows of L sum to zero, so the rho_00
+    row is redundant; replacing it with the trace row leaves a matrix that is
+    singular exactly when the kernel is degenerate or holds no trace-class
+    state. Its 1-norm condition estimate follows sigma_max/sigma_2 of L, so a
+    singular or ill-conditioned (above 1/_KERNEL_RTOL) matrix hands the point
+    to the SVD oracle, which resolves the kernel dimension.
+    """
+    dim = params.cutoff.dim
+    n = dim * dim
+    trace_row = sparse.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(1, n))
+    bordered = sparse.vstack([trace_row, lsp[1:]], format="csc")
+    try:
+        lu = splu(bordered)
+    except RuntimeError:  # exactly singular
+        return _svd_kernel(params, parity)
+    inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=complex,
+                             rmatvec=lambda x: lu.solve(x, trans="H"))
+    # t=1 keeps the estimate deterministic: larger blocks draw random start
+    # columns from numpy's global generator
+    cond = sparse.linalg.norm(bordered, 1) * onenormest(inverse, t=1)
+    if cond > 1.0 / _KERNEL_RTOL:
+        return _svd_kernel(params, parity)
+    e0 = np.zeros(n, dtype=complex)
+    e0[0] = 1.0
+    return lu.solve(e0), 1
+
+
+def _kernel_report(params: ModelParams, parity: int, lsp: sparse.csr_matrix,
+                   kernel: tuple[np.ndarray | None, int], residual_tol: float) -> SteadyReport:
+    """SteadyReport of a kernel vector: hermitized, normalized and audited."""
+    dim = params.cutoff.dim
+    v, k_dim = kernel
+    if v is None:
         rho = DensityMatrix(parity, np.eye(dim, dtype=complex) / dim)
         return SteadyReport(False, rho, float("nan"), float("nan"), float("nan"), 0.0,
                             note=f"kernel (dim {k_dim}) contains no trace-class state")
-    v = (traces.conj() / tnorm) @ kernel
     rho = v.reshape(dim, dim)
     rho = (rho + rho.conj().T) / 2.0
     rho = rho / np.trace(rho).real
     ns, bits = _observable_diags(parity, dim)
     diag = np.diagonal(rho).real
-    residual = float(np.linalg.norm(lmat @ rho.reshape(-1)))
+    residual = float(np.linalg.norm(lsp @ rho.reshape(-1)))
     negativity = float(np.linalg.eigvalsh(rho).min())
+    cutoff_note = _cutoff_note(diag, ns, params)
 
     note = ""
     converged = True
     if k_dim > 1:
         converged = False
         note = f"degenerate steady manifold: kernel dimension {k_dim}"
+    elif cutoff_note:
+        converged = False
+        note = cutoff_note
     elif negativity < -1e-8:
         converged = False
         note = f"kernel state not positive (min eigenvalue {negativity:.3e})"
@@ -463,6 +531,12 @@ def _steady_null_space(params: ModelParams, parity: int, residual_tol: float,
         note = f"kernel residual {residual:.3e} above tolerance"
     return SteadyReport(converged, DensityMatrix(parity, rho), float(diag @ ns),
                         float(diag @ bits), residual, 0.0, note=note)
+
+
+def _steady_null_space(params: ModelParams, parity: int, residual_tol: float) -> SteadyReport:
+    lsp = _liouvillian_sparse(params, parity)
+    return _kernel_report(params, parity, lsp, _direct_kernel(params, parity, lsp),
+                          residual_tol)
 
 
 def steady_state(params: ModelParams, parity: int, method: str = "long_time",
@@ -475,7 +549,12 @@ def steady_state(params: ModelParams, parity: int, method: str = "long_time",
     by less than obs_tol over a window_tc window (and the Liouvillian residual
     is below residual_tol), capped at cap_tc; hitting the cap yields
     converged=False with window-averaged observables. null_space solves for
-    the kernel of the vectorized Liouvillian directly and flags degeneracy.
+    the kernel of the vectorized Liouvillian directly: one sparse LU of the
+    Liouvillian with its rho_00 row replaced by the trace row. Singular or
+    ill-conditioned points fall back to a dense SVD of the Liouvillian, which
+    reports a degenerate kernel (converged=False) with its dimension. Either
+    route reports converged=False when more than 1e-8 of the population sits
+    in the top two Fock levels, i.e. when the cutoff n_max is too tight.
     """
     if method == "long_time":
         return _steady_long_time(params, parity, initial, obs_tol, residual_tol,

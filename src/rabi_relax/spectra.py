@@ -150,7 +150,14 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | No
 
 @dataclass(frozen=True)
 class CrossingEvent:
-    """A level-pair approach: genuine degeneracies carry kind 'exceptional'."""
+    """A level-pair approach.
+
+    kind is 'exceptional' where the real parts cross (re_gap at the floor) and
+    'avoided' otherwise; the levels can still differ in imaginary part there.
+    degenerate marks two coinciding complex levels: both gap components at
+    the floor in find_avoided_crossings, the bisected closure (an exceptional
+    point) in find_exceptional_point.
+    """
 
     kind: str  # "avoided" | "exceptional"
     axis: str
@@ -159,6 +166,7 @@ class CrossingEvent:
     gap: float  # |E_i - E_j| at the refined point
     re_gap: float
     im_gap: float
+    degenerate: bool
 
 
 def _pair_at(sweep: SpectrumSweep, x: float, b: int, k_ref: int) -> tuple[complex, complex]:
@@ -185,8 +193,9 @@ def find_avoided_crossings(sweep: SpectrumSweep, gap_threshold: float = 0.5,
     with parabolic sub-grid refinement of the minimizing parameter. When the
     signed real-part difference changes sign (a genuine crossing) the root is
     polished by bisection instead, and the event is reported with kind
-    'exceptional'; true non-Hermitian degeneracies also land there since both
-    gap components vanish. Everything else is 'avoided'.
+    'exceptional'. Everything else is 'avoided'. A real-part crossing need not
+    be a degeneracy: degenerate is set only when the imaginary parts also
+    agree to within floor, as at a true non-Hermitian degeneracy.
     """
     e_mat = sweep.eigenvalue_matrix()
     x = sweep.values
@@ -238,7 +247,8 @@ def find_avoided_crossings(sweep: SpectrumSweep, gap_threshold: float = 0.5,
             kind = "exceptional" if re_gap <= floor else "avoided"
             events.append(CrossingEvent(kind=kind, axis=sweep.axis, value=x_star,
                                         levels=(b, b + 1), gap=abs(ei - ej),
-                                        re_gap=re_gap, im_gap=im_gap))
+                                        re_gap=re_gap, im_gap=im_gap,
+                                        degenerate=bool(max(re_gap, im_gap) <= floor)))
     events.sort(key=lambda ev: (ev.value, ev.levels))
     return events
 
@@ -293,7 +303,7 @@ def find_exceptional_point(params: ModelParams, n: int, g1_grid=None,
     idx = tuple(sorted((int(np.abs(w - ei).argmin()), int(np.abs(w - ej).argmin()))))
     return CrossingEvent(kind="exceptional", axis="g1", value=g1_star, levels=idx,
                          gap=abs(ei - ej), re_gap=abs(ei.real - ej.real),
-                         im_gap=abs(ei.imag - ej.imag))
+                         im_gap=abs(ei.imag - ej.imag), degenerate=True)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,37 @@ def test_spectrum_json_mirrors_the_table(tmp_path, capsys):
     assert doc["config"]["sweep_axis"] == "g2"
 
 
+def test_spectrum_footer_separates_real_part_crossings_from_degeneracies(tmp_path, capsys):
+    cfg = write_cfg(tmp_path,
+                    "delta = 0.8\ng1 = 1.1\ng2 = 0\nkappa = 0.02\nn_max = 8\n"
+                    "sweep_axis = g1\nsweep_start = 1.1\nsweep_stop = 1.6\n"
+                    "sweep_points = 26\nreport_crossings = true\ngap_threshold = 0.2\n")
+    rc, out, _ = run(capsys, "spectrum", "--config", cfg)
+    assert rc == 0
+    crossings = [l for l in out.splitlines() if l.startswith("# crossing_")]
+    assert crossings
+    # real parts cross, widths differ: labelled exceptional, yet not degenerate
+    assert all(l.split(" = ")[1].startswith("exceptional ") for l in crossings)
+    assert all(l.endswith(" degenerate=false") for l in crossings)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", ""),
+    ("steady", "steady_method = null_space\n"),
+])
+def test_swept_coupling_needs_no_base_value(tmp_path, capsys, command, extra):
+    sweep = "sweep_axis = g1\nsweep_start = 0.2\nsweep_stop = 0.4\nsweep_points = 3\n"
+    rest = "delta = 0.8\ng2 = 0.05\nkappa = 0.02\nn_max = 8\n" + extra + sweep
+    rc_with, out_with, _ = run(capsys, command, "--config",
+                               write_cfg(tmp_path, "g1 = 0.1\n" + rest, "with.cfg"))
+    rc_without, out_without, _ = run(capsys, command, "--config",
+                                     write_cfg(tmp_path, rest, "without.cfg"))
+    assert rc_with == rc_without == 0
+    assert rows_of(out_without) == rows_of(out_with)
+    assert "# g1 = 0.1\n" in out_with
+    assert "# g1 = 0.2\n" in out_without
+
+
 # ------------------------------------------------------------------- steady
 
 def test_steady_decoupled_corner_converges_to_vacuum(tmp_path, capsys):

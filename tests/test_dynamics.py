@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 from rabi_relax.dynamics import (SolverError, StateVector, TruncationError,
+                                 _kernel_report, _svd_kernel,
                                  canonical_initial_state, evolve_effective,
                                  evolve_master, observables, steady_map,
                                  steady_state, transient_snapshot,
                                  truncation_check)
 from rabi_relax.analytic import jc_population
 from rabi_relax.hilbert import EVEN, FULL, ODD, BareState, FockCutoff, embed_full
-from rabi_relax.model import DensityMatrix, ModelParams, bare_vector
+from rabi_relax.model import (DensityMatrix, ModelParams, _liouvillian_sparse,
+                              bare_vector, liouvillian_matrix)
 
 FIG_PARAMS = dict(delta=0.8, g1=0.1, g2=0.05, kappa=0.02)
 
@@ -181,6 +183,50 @@ def test_decoupled_kernel_is_degenerate():
     assert "degenerate" in rep.note
     # any reported representative must still be a valid stationary state
     assert rep.residual < 1e-10
+
+
+# couplings down the near-degenerate ladder g1 = g2 -> 0, where the kernel
+# turns two-dimensional below about 1e-4, plus the lossless odd doublet
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+@pytest.mark.parametrize("g1, g2", [(0.4, 0.2), (1e-1, 1e-1), (1e-3, 1e-3), (1e-4, 1e-4),
+                                    (1e-5, 1e-5), (1e-6, 1e-6), (1e-8, 1e-8), (0.1, 0.0)])
+def test_direct_kernel_matches_the_svd_oracle(parity, g1, g2):
+    p = params(n_max=8, g1=g1, g2=g2)
+    direct = steady_state(p, parity, method="null_space")
+    oracle = _kernel_report(p, parity, _liouvillian_sparse(p, parity), _svd_kernel(p, parity),
+                            1e-6)
+    assert (direct.converged, direct.note) == (oracle.converged, oracle.note)
+    # the oracle's own error grows as eps * sigma_max / sigma_2 of L: 2.5e-12
+    # at g = 1e-3 in the odd sector, where the direct solve is exact to 1e-20
+    assert direct.mean_photon == pytest.approx(oracle.mean_photon, abs=5e-12)
+    assert direct.qubit_excitation == pytest.approx(oracle.qubit_excitation, abs=5e-12)
+
+
+def test_direct_kernel_is_exact_where_the_svd_is_ill_conditioned():
+    # 40-digit mpmath solve of the same trace-bordered system (sigma_max /
+    # sigma_2 of L is 2.4e8); the SVD oracle is off by 2.5e-12 here
+    p = params(n_max=8, g1=1e-3, g2=1e-3)
+    rep = steady_state(p, ODD, method="null_space")
+    assert rep.converged
+    assert rep.mean_photon == pytest.approx(2.4998668464741900473e-05, abs=1e-17)
+
+
+def test_unique_kernel_needs_no_dense_liouvillian():
+    p = params(n_max=9, g1=0.37, g2=0.11)
+    misses = liouvillian_matrix.cache_info().misses
+    rep = steady_state(p, ODD, method="null_space")
+    assert rep.converged
+    assert liouvillian_matrix.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("method", ["null_space", "long_time"])
+def test_steady_state_population_at_the_cutoff_is_flagged(method):
+    # at g = 2 a cutoff of 4 leaves 0.31 of the steady population in n = 3, 4
+    p = params(n_max=4, g1=2.0, g2=2.0)
+    rep = steady_state(p, EVEN, method=method)
+    assert not rep.converged
+    assert "n_max=4" in rep.note
+    assert steady_state(params(n_max=14, g1=0.4, g2=0.2), EVEN, method=method).converged
 
 
 def test_lossless_cascade_never_converges():

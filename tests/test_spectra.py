@@ -124,6 +124,9 @@ def test_rotating_only_sweep_degenerates_to_true_crossings():
     ours = [e for e in events if set(e.levels) == {0, 1}]
     assert ours and ours[0].kind == "exceptional"
     assert ours[0].re_gap <= 1e-8
+    # the crossing levels keep different widths, so this is no degeneracy
+    assert ours[0].im_gap > 1e-8
+    assert ours[0].degenerate is False
     assert abs(ours[0].value - target) < 0.02
 
 
@@ -152,7 +155,7 @@ def test_exceptional_point_location_matches_closed_form():
     p = params(n_max=20, delta=1.0, g2=0.0, g1=0.01)
     event = find_exceptional_point(p, 1)
     assert event is not None
-    assert event.kind == "exceptional"
+    assert event.kind == "exceptional" and event.degenerate
     assert abs(event.value - ep_position(1, p)) < 1e-9
 
 
