@@ -17,16 +17,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import spectra, verify as verify_mod
 from .dynamics import (SolverError, StateVector, canonical_initial_state,
-                       evolve_effective, evolve_master, steady_state)
-from .hilbert import EVEN, EXCITED, GROUND, ODD, BareState, FockCutoff, parity_of
+                       evolve_effective, evolve_master, steady_map)
+from .hilbert import EVEN, ODD, BareState, FockCutoff, parity_of
 from .model import DensityMatrix, ModelParams
 
 PARITY_BY_NAME = {"even": EVEN, "odd": ODD}
@@ -136,7 +134,7 @@ class _Config:
                 raise ConfigError(f"{self.path}:{ln}: unknown key {key!r}")
 
 
-_COMMON_KEYS = ("omega", "delta", "g1", "g2", "lambda", "kappa", "n_max", "parity", "jobs")
+_COMMON_KEYS = ("omega", "delta", "g1", "g2", "lambda", "kappa", "n_max", "parity")
 _KEYS = {
     "dynamics": _COMMON_KEYS + ("initial", "solver", "renormalize", "t_max", "samples"),
     "spectrum": _COMMON_KEYS + ("sweep_axis", "sweep_start", "sweep_stop", "sweep_points",
@@ -204,17 +202,6 @@ def _resolve_model(cfg: _Config, command: str):
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}: {exc}")
     return params, PARITY_BY_NAME[parity_name], lam
-
-
-def _resolve_jobs(cfg: _Config, args) -> int:
-    jobs = cfg.take("jobs", _as_int, 1)
-    if args.jobs is not None:
-        jobs = args.jobs
-    # the worker count never changes the results, so it stays out of the header
-    del cfg.resolved["jobs"]
-    if jobs < 1:
-        raise ConfigError(f"{cfg.line_of('jobs')}: jobs must be >= 1")
-    return jobs
 
 
 def _parse_initial(cfg: _Config, params: ModelParams, parity, allow_amps: bool = True):
@@ -304,7 +291,6 @@ def _cmd_dynamics(args) -> _Table:
     cfg = _Config(args.config)
     cfg.reject_unknown(_KEYS["dynamics"])
     params, parity, _ = _resolve_model(cfg, "dynamics")
-    _resolve_jobs(cfg, args)
     solver = cfg.take("solver", _as_str, "master")
     if solver not in ("master", "effective"):
         raise ConfigError(f"{cfg.line_of('solver')}: solver must be master or effective")
@@ -341,16 +327,10 @@ def _cmd_dynamics(args) -> _Table:
                   rows, {})
 
 
-def _spectrum_point(task):
-    params, parity = task
-    return spectra.complex_spectrum(params, parity)
-
-
 def _cmd_spectrum(args) -> _Table:
     cfg = _Config(args.config)
     cfg.reject_unknown(_KEYS["spectrum"])
     params, parity, lam = _resolve_model(cfg, "spectrum")
-    jobs = _resolve_jobs(cfg, args)
     axis, grid = _sweep_grid(cfg, params, "sweep", "g1", spectra.SWEEP_AXES, required=True)
     if lam is not None and axis != "g1":
         raise ConfigError(f"{cfg.line_of('lambda')}: lambda requires sweeping g1")
@@ -358,13 +338,7 @@ def _cmd_spectrum(args) -> _Table:
     gap_threshold = cfg.take("gap_threshold", _as_float, 0.5)
     ep_doublet = cfg.take("ep_doublet", _as_int, None)
 
-    point_spectra = None
-    if jobs > 1 and grid.size > 1:
-        tasks = [(spectra._point_params(params, axis, x, lam), parity) for x in grid]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            point_spectra = list(pool.map(_spectrum_point, tasks))
-    sweep = spectra.sweep_spectrum(params, parity, axis, grid, lam=lam,
-                                   point_spectra=point_spectra)
+    sweep = spectra.sweep_spectrum(params, parity, axis, grid, lam=lam)
 
     omega = params.omega
     rows = []
@@ -396,17 +370,10 @@ def _cmd_spectrum(args) -> _Table:
                   rows, footer)
 
 
-def _steady_point(task):
-    params, parity, method, initial, tols = task
-    rep = steady_state(params, parity, method=method, initial=initial, **tols)
-    return rep.mean_photon, rep.qubit_excitation, rep.converged, rep.residual
-
-
 def _cmd_steady(args) -> _Table:
     cfg = _Config(args.config)
     cfg.reject_unknown(_KEYS["steady"])
     params, parity, lam = _resolve_model(cfg, "steady")
-    jobs = _resolve_jobs(cfg, args)
     method = cfg.take("steady_method", _as_str, "long_time")
     if method not in ("long_time", "null_space"):
         raise ConfigError(f"{cfg.line_of('steady_method')}: steady_method must be "
@@ -448,19 +415,11 @@ def _cmd_steady(args) -> _Table:
             else:
                 points.append((x, params.g2) if axis1 == "g1" else (params.g1, x))
 
-    tasks = [(params.with_coupling(g1=float(g1), g2=float(g2)), parity, method,
-              initial, tols) for g1, g2 in points]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_steady_point, tasks))
-    else:
-        outcomes = [_steady_point(t) for t in tasks]
-
     omega = params.omega
-    rows = []
-    for (g1, g2), (photon, qubit, converged, residual) in zip(points, outcomes):
-        rows.append((g1 / omega, g2 / omega, PARITY_NAME[parity], photon, qubit,
-                     converged, residual))
+    rows = [(g1 / omega, g2 / omega, PARITY_NAME[parity], rep.mean_photon,
+             rep.qubit_excitation, rep.converged, rep.residual)
+            for g1, g2, rep in steady_map(points, params, parity, method,
+                                          initial=initial, **tols)]
     return _Table("steady", cfg.resolved,
                   ("g1", "g2", "parity", "mean_photon", "qubit_excitation",
                    "converged", "residual"),
@@ -503,7 +462,6 @@ def _cmd_verify(args) -> int:
     cfg = _Config(args.config)
     cfg.reject_unknown(_KEYS["verify"])
     params, parity, _ = _resolve_model(cfg, "verify")
-    _resolve_jobs(cfg, args)
     initial = _parse_initial(cfg, params, parity, allow_amps=False)
     results = verify_mod.run_all(params, parity, initial)
     n_pass = sum(r.passed for r in results)
@@ -542,7 +500,9 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=blurb)
         sp.add_argument("--config", required=True, help="key=value config file")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, help="worker processes for sweep points")
+        # accepted and ignored: sweeps run in one process, and scripts written
+        # for the former worker pool still pass --jobs
+        sp.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 

@@ -27,7 +27,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
 
-from .hilbert import CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen, build_parity_chain
+from .hilbert import (CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen,
+                      build_parity_chain, parity_of)
 from .model import (
     DensityMatrix,
     ModelParams,
@@ -43,6 +44,10 @@ from .model import (
 _PROP_SUPERDIM_MAX = 1600
 
 _SUPPORT_TOL = 1e-12
+
+# Per-sample evolution guard: the largest trace drift, density-matrix
+# negativity and population in the top two Fock levels accepted at a sample.
+_SAMPLE_TOL = 1e-6
 
 # Liouvillian singular values below this fraction of the largest span the kernel.
 _KERNEL_RTOL = 1e-10
@@ -82,13 +87,7 @@ class StateVector:
 
     @classmethod
     def from_bare(cls, cutoff: FockCutoff, state: BareState, basis=None) -> "StateVector":
-        return cls(basis if basis is not None else _parity_of(state), bare_vector(cutoff, state, basis))
-
-
-def _parity_of(state: BareState) -> int:
-    from .hilbert import parity_of
-
-    return parity_of(state)
+        return cls(basis if basis is not None else parity_of(state), bare_vector(cutoff, state, basis))
 
 
 @dataclass(frozen=True)
@@ -250,15 +249,28 @@ def _check_support(populations: np.ndarray, levels: np.ndarray, params: ModelPar
 
 def _guard_sample(rho: np.ndarray, t_tc: float):
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-6:
+    if abs(tr - 1.0) > _SAMPLE_TOL:
         raise SolverError(
             f"trace drifted to {tr:.9f} at t={t_tc:g} T_c; truncation too tight "
             "(raise n_max)")
     w_min = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if w_min < -1e-6:
+    if w_min < -_SAMPLE_TOL:
         raise SolverError(
             f"density matrix eigenvalue {w_min:.3e} at t={t_tc:g} T_c; truncation too tight "
             "(raise n_max)")
+
+
+def _top_levels(ns: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Mask of the top two Fock levels, whose population the cutoff clips."""
+    return ns >= params.cutoff.n_max - 1
+
+
+def _guard_cutoff(top: float, params: ModelParams, t_tc: float):
+    """Abort an evolution whose top two Fock levels hold more than _SAMPLE_TOL."""
+    if top > _SAMPLE_TOL:
+        raise TruncationError(
+            f"population {top:.3e} in the top two Fock levels at t={t_tc:g} T_c; the cutoff "
+            f"n_max={params.cutoff.n_max} is too tight (raise n_max)")
 
 
 def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
@@ -269,7 +281,8 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
     propagator, larger ones the exact exponential of the sparse Liouvillian;
     the two differ by the RK4 truncation error, about 1e-10. Returns the
     trajectory and the final density matrix. Aborts with a diagnostic if the
-    trace drifts or negativity grows beyond 1e-6.
+    trace drifts, negativity grows or the population in the top two Fock
+    levels exceeds 1e-6 at a sample.
     """
     basis = rho0.basis_tag
     dim = _expected_dim(params, basis)
@@ -278,6 +291,7 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
     rho0.validate()
     ns, bits = _observable_diags(basis, dim)
     _check_support(np.diagonal(rho0.entries).real, ns, params)
+    top = _top_levels(ns, params)
 
     times, dts = _time_grid(t_grid, params.omega)
     if dim * dim <= _PROP_SUPERDIM_MAX:
@@ -306,6 +320,7 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
         rho = v.reshape(dim, dim)
         _guard_sample(rho, times[i])
         diag = np.diagonal(rho).real
+        _guard_cutoff(float(diag[top].sum()), params, times[i])
         photon[i] = diag @ ns
         qubit[i] = diag @ bits
         trace[i] = diag.sum()
@@ -324,7 +339,9 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
 
     The trace slot carries the squared norm (monotonically non-increasing for
     kappa > 0); mean photon and qubit excitation are divided by it when
-    renormalize is true. Purity is identically 1 for a pure state.
+    renormalize is true. Purity is identically 1 for a pure state. Aborts
+    when the norm grows, or when more than 1e-6 of the norm sits in the top
+    two Fock levels at a sample.
     """
     basis = psi0.basis_tag
     if basis not in CHAIN_TAGS:
@@ -334,6 +351,7 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
         raise ValueError(f"psi0 dim {psi0.dim} does not match cutoff dim {dim}")
     ns, bits = _observable_diags(basis, dim)
     _check_support(np.abs(psi0.amplitudes) ** 2, ns, params)
+    top = _top_levels(ns, params)
 
     times, dts = _time_grid(t_grid, params.omega)
     gen = -1j * build_effective_hamiltonian(params, basis).entries
@@ -357,6 +375,7 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
                 f"RK4 step unstable for this coupling at n_max={params.cutoff.n_max} "
                 "(change n_max)")
         prev = n2
+        _guard_cutoff(float(w[top].sum()) / n2 if n2 > 0 else 0.0, params, times[i])
         scale = n2 if (renormalize and n2 > 0) else 1.0
         photon[i] = w @ ns / scale
         qubit[i] = w @ bits / scale
@@ -384,7 +403,7 @@ def transient_snapshot(g1_values, lam: float, params: ModelParams, parity: int,
 
 def _initial_for(params: ModelParams, parity: int, initial: BareState | None) -> DensityMatrix:
     state = initial if initial is not None else canonical_initial_state(parity)
-    if _parity_of(state) != parity:
+    if parity_of(state) != parity:
         raise ValueError(f"initial state {state} is not in the parity {parity:+d} sector")
     return DensityMatrix.from_bare(params.cutoff, state, parity)
 
@@ -438,7 +457,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
 
 def _cutoff_note(diag: np.ndarray, ns: np.ndarray, params: ModelParams) -> str:
     """Non-empty when the steady populations reach the top two Fock levels."""
-    top = float(diag[ns >= params.cutoff.n_max - 1].sum())
+    top = float(diag[_top_levels(ns, params)].sum())
     if top > _CUTOFF_POP_MAX:
         return (f"population {top:.3e} in the top two Fock levels; the cutoff "
                 f"n_max={params.cutoff.n_max} is too tight (raise n_max)")

@@ -23,7 +23,6 @@ from scipy import sparse
 from .hilbert import (
     EVEN,
     FULL,
-    ODD,
     CHAIN_TAGS,
     BareState,
     FockCutoff,
@@ -34,7 +33,6 @@ from .hilbert import (
     _frozen,
     build_annihilation,
     build_parity_chain,
-    embed_full,
     full_index,
     parity_of,
     two_photon_lowering,

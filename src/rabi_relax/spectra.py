@@ -103,22 +103,18 @@ def _validate_grid(grid) -> np.ndarray:
 
 
 def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | None = None,
-                   keep_vectors: bool = False, point_spectra=None) -> SpectrumSweep:
+                   keep_vectors: bool = False) -> SpectrumSweep:
     """Track the sector spectrum across a monotone grid of one parameter.
 
     Branches start in ascending-real-part order at the first grid point and
     follow maximal eigenvector overlap afterwards (a rectangular assignment,
-    so every eigenvalue is claimed by exactly one branch). point_spectra may
-    carry precomputed (eigenvalues, eigenvectors) pairs for the grid, letting
-    callers parallelize the diagonalization; tracking itself is sequential.
+    so every eigenvalue is claimed by exactly one branch).
     """
     vals = _validate_grid(grid)
-    if point_spectra is None:
-        point_spectra = (complex_spectrum(_point_params(params, axis, x, lam), parity)
-                         for x in vals)
-    point_spectra = iter(point_spectra)
+    eigensystems = (complex_spectrum(_point_params(params, axis, x, lam), parity)
+                    for x in vals)
 
-    w_prev, v_prev = next(point_spectra)
+    w_prev, v_prev = next(eigensystems)
     dim = w_prev.size
     n_pts = vals.size
     values = np.empty((dim, n_pts), dtype=complex)
@@ -129,7 +125,7 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | No
         kept[:, 0, :] = v_prev.T
 
     for k in range(1, n_pts):
-        w, vmat = next(point_spectra)
+        w, vmat = next(eigensystems)
         overlap = np.abs(v_prev.conj().T @ vmat)
         row, col = linear_sum_assignment(-overlap)
         perm = col[np.argsort(row)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, dynamics, spectra
-from .hilbert import (EVEN, FULL, GROUND, ODD, BareState, FockCutoff, build_parity_chain,
+from .hilbert import (EVEN, FULL, GROUND, ODD, BareState, build_parity_chain,
                       parity_of, parity_operator)
 from .model import DEFAULT_CUTOFF, DensityMatrix, ModelParams
 

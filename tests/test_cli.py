@@ -170,19 +170,23 @@ def test_steady_flags_nonconvergent_lossless_subspace(tmp_path, capsys):
     assert rows[0][5] == "false"
 
 
-def test_steady_sweep_with_tied_ratio_and_workers(tmp_path, capsys):
+def test_steady_sweep_with_tied_ratio_ignores_jobs(tmp_path, capsys):
     cfg_text = ("delta = 0.8\ng1 = 0.1\nlambda = 0.5\nkappa = 0.02\nn_max = 7\n"
                 "steady_method = null_space\n"
                 "sweep_axis = g1\nsweep_start = 0.1\nsweep_stop = 0.3\nsweep_points = 3\n")
     cfg = write_cfg(tmp_path, cfg_text)
-    rc1, out1, _ = run(capsys, "steady", "--config", cfg, "--jobs", "1")
-    rc2, out2, _ = run(capsys, "steady", "--config", cfg, "--jobs", "2")
+    rc1, out1, _ = run(capsys, "steady", "--config", cfg)
+    # --jobs is still accepted, and changes nothing: every sweep runs in-process
+    rc2, out2, _ = run(capsys, "steady", "--config", cfg, "--jobs", "1")
     assert rc1 == rc2 == 0
     assert out1 == out2
     _, rows = rows_of(out1)
     assert [r[0] for r in rows] == ["0.1", "0.2", "0.3"]
     # lambda ties the counter-rotating coupling to half of g1 at every point
     assert [r[1] for r in rows] == ["0.05", "0.1", "0.15"]
+    # the config key is gone altogether
+    rc, _, err = run(capsys, "steady", "--config", write_cfg(tmp_path, cfg_text + "jobs = 2\n"))
+    assert rc == 2 and "unknown key 'jobs'" in err
 
 
 # ------------------------------------------------------------ config errors
@@ -221,6 +225,13 @@ def test_unsupported_initial_support_exits_with_code_three(tmp_path, capsys):
                     "initial = 4,g\nt_max = 2\n")
     rc, _, err = run(capsys, "dynamics", "--config", cfg)
     assert rc == 3 and "solver error" in err
+
+
+def test_population_reaching_the_cutoff_exits_with_code_three(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "n_max = 4\ng1 = 2\ng2 = 2\nt_max = 60\n")
+    rc, out, err = run(capsys, "dynamics", "--config", cfg)
+    assert rc == 3 and out == ""
+    assert "solver error" in err and "n_max=4" in err
 
 
 # ------------------------------------------------------------------- verify

@@ -112,6 +112,19 @@ def test_initial_support_near_the_cutoff_is_rejected():
         evolve_master(rho0, p, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("solver", ["master", "effective"])
+def test_population_reaching_the_cutoff_aborts_evolution(solver):
+    # |2,g> starts two levels below a cutoff of 4, but at g = 2 the coupling
+    # pushes 0.1-0.2 of the population into n = 3, 4 by the first sample (1 T_c)
+    p = params(n_max=4, g1=2.0, g2=2.0)
+    grid = np.linspace(0.0, 60.0, 61)
+    with pytest.raises(TruncationError, match=r"n_max=4 .*\(raise n_max\)"):
+        if solver == "master":
+            evolve_master(DensityMatrix.from_bare(p.cutoff, BareState(2, "g")), p, grid)
+        else:
+            evolve_effective(StateVector.from_bare(p.cutoff, BareState(2, "g")), p, grid)
+
+
 # ----------------------------------------------------------- effective path
 
 def test_effective_norm_decay_tracks_renormalization():
