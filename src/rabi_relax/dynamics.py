@@ -5,11 +5,16 @@ no-jump Schrodinger equation under the non-Hermitian effective Hamiltonian
 (norm decaying, optionally renormalized observables). For a linear
 time-independent generator the fixed-step classical RK4 step is the degree-4
 Taylor polynomial of h*G, so we precompute that one-step matrix and apply
-cached matrix powers per sample interval. The master equation uses this
-propagator while the vectorized Liouvillian is small (dim^2 <= 1600); above
-that it applies the exact exponential of the sparse Liouvillian to the state
-(scipy's expm_multiply). The two paths differ by the RK4 truncation error,
-about 1e-10 in the observables.
+cached matrix powers per sample interval.
+
+Every master-equation propagation (evolve_master and the long_time steady
+state) takes its propagator from one size switch. While the vectorized
+Liouvillian is small (dim^2 <= 1600) it is the cached dense RK4 matrix; above
+that it is the truncated Taylor series of the sparse Liouvillian (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), applied to the state without a
+trace shift, with its degree and substep count chosen once per interval
+length. The two differ by the RK4 truncation error, about 1e-10 in the
+observables; the dense Liouvillian is never built above the switch.
 
 Steady states come from long-time relaxation or from the Liouvillian kernel,
 solved with one sparse LU of the trace-bordered Liouvillian; a dense SVD of
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .hilbert import (CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen,
                       build_parity_chain, parity_of)
@@ -40,8 +45,24 @@ from .model import (
 
 # Largest vectorized-generator dimension (dim^2) propagated with the cached dense
 # RK4 matrix. One dense matrix serves every sample interval of a run, but its
-# dim^4 memory and matrix powers lose to the sparse exponential above this size.
+# dim^4 memory and matrix powers lose to the sparse Taylor kernel above this size.
 _PROP_SUPERDIM_MAX = 1600
+
+# theta_m of Al-Mohy & Higham (2011), double precision: the largest 1-norm of
+# h*L for which the degree-m Taylor polynomial of exp(h*L) has backward error
+# below 2^-53 (their table A.3 for m <= 30, table 3.1 above).
+_TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3,
+    7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1,
+    13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09,
+    19: 1.26, 20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0,
+    45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+# Unit roundoff: a Taylor substep stops once its last two terms fall below
+# this fraction of the partial sum (the early-termination test of the method).
+_TAYLOR_TOL = 2.0 ** -53
 
 _SUPPORT_TOL = 1e-12
 
@@ -206,7 +227,7 @@ def _rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Rk4Propagator:
-    """Caches interval propagators P(dt) = rk4_step(dt/m)^m, keyed by dt.
+    """Applies cached interval propagators P(dt) = rk4_step(dt/m)^m, keyed by dt.
 
     Interval lengths are quantized at 1e-12 before keying so the last-ulp
     jitter of linspace grids reuses one matrix; the time error introduced is
@@ -214,18 +235,80 @@ class _Rk4Propagator:
     """
 
     def __init__(self, gen: np.ndarray, h_bound: float):
-        self._gen = np.ascontiguousarray(gen)
+        self.gen = np.ascontiguousarray(gen)
         self._h = float(h_bound)
         self._cache: dict[float, np.ndarray] = {}
 
-    def matrix_for(self, dt: float) -> np.ndarray:
+    def apply(self, v: np.ndarray, dt: float) -> np.ndarray:
         key = round(float(dt), 12)
         mat = self._cache.get(key)
         if mat is None:
             m = max(1, math.ceil(key / self._h - 1e-12))
-            mat = np.linalg.matrix_power(_rk4_step_matrix(self._gen, key / m), m)
+            mat = np.linalg.matrix_power(_rk4_step_matrix(self.gen, key / m), m)
             self._cache[key] = mat
-        return mat
+        return mat @ v
+
+
+class _TaylorPropagator:
+    """Applies exp(dt*L) to a vector by the truncated Taylor series, keyed by dt.
+
+    The method of Al-Mohy & Higham (2011), which scipy's expm_multiply also
+    uses, without its trace shift: the shift is the mean diagonal of L, set
+    by the stiff pair-loss rates kappa*n(n-1) of Fock levels the state never
+    reaches, and nearly doubles the terms taken (92 against 51 matvecs per
+    interval on the Fig. 3 run at n_max 40). The degree m and substep count
+    s come once per interval from the exact 1-norm of dt*L and the theta_m
+    table, minimizing m*s; each substep stops early once two successive terms
+    fall below the unit roundoff of the partial sum. Keys are quantized at
+    1e-12 like those of _Rk4Propagator.
+    """
+
+    def __init__(self, gen: sparse.csr_matrix):
+        self.gen = gen
+        self._norm = float(sparse.linalg.norm(gen, 1))
+        self._plans: dict[float, tuple[int, int, float]] = {}
+
+    def _plan(self, dt: float) -> tuple[int, int, float]:
+        key = round(float(dt), 12)
+        plan = self._plans.get(key)
+        if plan is None:
+            norm = key * self._norm
+            m, s = 0, 1
+            if norm > 0:
+                m, s = min(((deg, math.ceil(norm / theta))
+                            for deg, theta in _TAYLOR_THETA.items()),
+                           key=lambda ms: ms[0] * ms[1])
+            plan = (m, s, key / s)
+            self._plans[key] = plan
+        return plan
+
+    def apply(self, v: np.ndarray, dt: float) -> np.ndarray:
+        m, s, h = self._plan(dt)
+        gen = self.gen
+        f = v
+        for _ in range(s):
+            term = f
+            c1 = np.abs(term).max()
+            for j in range(1, m + 1):
+                term = gen @ term * (h / j)
+                c2 = np.abs(term).max()
+                f = f + term
+                if c1 + c2 <= _TAYLOR_TOL * np.abs(f).max():
+                    break
+                c1 = c2
+        return f
+
+
+def _master_propagator(params: ModelParams, basis):
+    """The one size switch of master-equation propagation.
+
+    Dense cached RK4 while dim^2 <= _PROP_SUPERDIM_MAX, else the sparse Taylor
+    kernel, which never builds the dense dim^4 Liouvillian.
+    """
+    dim = _expected_dim(params, basis)
+    if dim * dim <= _PROP_SUPERDIM_MAX:
+        return _Rk4Propagator(liouvillian_matrix(params, basis), _step_bound(params))
+    return _TaylorPropagator(_liouvillian_sparse(params, basis))
 
 
 def _expected_dim(params: ModelParams, basis) -> int:
@@ -277,12 +360,13 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
                   store_states: bool = False) -> tuple[Trajectory, DensityMatrix]:
     """Integrate the master equation, sampling observables at t_grid (T_c units).
 
-    Small generators (dim^2 <= _PROP_SUPERDIM_MAX) use the cached RK4
-    propagator, larger ones the exact exponential of the sparse Liouvillian;
-    the two differ by the RK4 truncation error, about 1e-10. Returns the
-    trajectory and the final density matrix. Aborts with a diagnostic if the
-    trace drifts, negativity grows or the population in the top two Fock
-    levels exceeds 1e-6 at a sample.
+    The propagator comes from the one size switch of the module: the cached
+    dense RK4 matrix while dim^2 <= _PROP_SUPERDIM_MAX, else the unshifted
+    truncated Taylor series of the sparse Liouvillian, planned once per
+    distinct sample interval; the two differ by the RK4 truncation error,
+    about 1e-10. Returns the trajectory and the final density matrix. Aborts
+    with a diagnostic if the trace drifts, negativity grows or the population
+    in the top two Fock levels exceeds 1e-6 at a sample.
     """
     basis = rho0.basis_tag
     dim = _expected_dim(params, basis)
@@ -294,17 +378,7 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
     top = _top_levels(ns, params)
 
     times, dts = _time_grid(t_grid, params.omega)
-    if dim * dim <= _PROP_SUPERDIM_MAX:
-        prop = _Rk4Propagator(liouvillian_matrix(params, basis), _step_bound(params))
-
-        def advance(v, dt):
-            return prop.matrix_for(dt) @ v
-    else:
-        lmat = _liouvillian_sparse(params, basis)
-
-        def advance(v, dt):
-            return expm_multiply(lmat * dt, v)
-
+    prop = _master_propagator(params, basis)
     v = rho0.entries.reshape(-1).astype(complex)
 
     n_samp = times.size
@@ -316,7 +390,7 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
 
     for i in range(n_samp):
         if dts[i] > 1e-15:
-            v = advance(v, dts[i])
+            v = prop.apply(v, dts[i])
         rho = v.reshape(dim, dim)
         _guard_sample(rho, times[i])
         diag = np.diagonal(rho).real
@@ -366,7 +440,7 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
 
     for i in range(n_samp):
         if dts[i] > 1e-15:
-            v = prop.matrix_for(dts[i]) @ v
+            v = prop.apply(v, dts[i])
         w = np.abs(v) ** 2
         n2 = float(w.sum())
         if n2 > prev * (1.0 + 1e-9) + 1e-12:
@@ -385,20 +459,27 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
 
 
 def transient_snapshot(g1_values, lam: float, params: ModelParams, parity: int,
-                       t_snap: float) -> np.ndarray:
-    """Master-equation observables at one time, swept over g1 with g2 = lam*g1.
+                       t_snaps) -> np.ndarray:
+    """Master-equation observables at snapshot times, swept over g1 with g2 = lam*g1.
 
     Starts each point from the canonical parity-definite initial state and
-    returns rows (g1, mean_photon, qubit_excitation); t_snap in T_c units.
+    evolves it once over the non-decreasing snapshot times t_snaps (T_c
+    units), so equal gaps reuse one cached propagator. Returns an array of
+    shape (len(t_snaps), len(g1_values), 3): one block of rows
+    (g1, mean_photon, qubit_excitation) per snapshot time.
     """
     init = canonical_initial_state(parity)
-    rows = np.empty((len(g1_values), 3))
-    for i, g1 in enumerate(np.asarray(g1_values, dtype=float)):
+    g1s = np.asarray(g1_values, dtype=float)
+    times = np.atleast_1d(np.asarray(t_snaps, dtype=float))
+    out = np.empty((times.size, g1s.size, 3))
+    for i, g1 in enumerate(g1s):
         point = params.with_ratio(float(g1), lam)
         rho0 = DensityMatrix.from_bare(point.cutoff, init, parity)
-        traj, _ = evolve_master(rho0, point, [t_snap])
-        rows[i] = (g1, traj.mean_photon[-1], traj.qubit_excitation[-1])
-    return rows
+        traj, _ = evolve_master(rho0, point, times)
+        out[:, i, 0] = g1
+        out[:, i, 1] = traj.mean_photon
+        out[:, i, 2] = traj.qubit_excitation
+    return out
 
 
 def _initial_for(params: ModelParams, parity: int, initial: BareState | None) -> DensityMatrix:
@@ -416,10 +497,8 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
     ns, bits = _observable_diags(parity, dim)
     _check_support(np.diagonal(rho0.entries).real, ns, params)
 
-    lmat = liouvillian_matrix(params, parity)
+    prop = _master_propagator(params, parity)
     dt = sample_dt_tc * math.pi / params.omega
-    prop = _Rk4Propagator(lmat, _step_bound(params))
-    step = prop.matrix_for(dt)
 
     per_window = max(2, int(round(window_tc / sample_dt_tc)))
     n_windows = max(1, int(math.ceil(cap_tc / window_tc)))
@@ -432,7 +511,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
     for _ in range(n_windows):
         v_sum = np.zeros_like(v)
         for s in range(per_window):
-            v = step @ v
+            v = prop.apply(v, dt)
             diag = v[diag_idx].real
             ph[s] = diag @ ns
             ex[s] = diag @ bits
@@ -441,7 +520,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
         _guard_sample(v.reshape(dim, dim), t_tc)
         spread = max(ph.max() - ph.min(), ex.max() - ex.min())
         if spread < obs_tol:
-            residual = float(np.linalg.norm(lmat @ v))
+            residual = float(np.linalg.norm(prop.gen @ v))
             if residual <= residual_tol:
                 rho = DensityMatrix(parity, v.reshape(dim, dim))
                 note = _cutoff_note(v[diag_idx].real, ns, params)
@@ -449,7 +528,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
                                     float(max(ph.var(), ex.var())), note=note)
     v_avg = v_sum / per_window
     rho = DensityMatrix(parity, v_avg.reshape(dim, dim))
-    residual = float(np.linalg.norm(lmat @ v_avg))
+    residual = float(np.linalg.norm(prop.gen @ v_avg))
     return SteadyReport(False, rho, float(ph.mean()), float(ex.mean()), residual,
                         float(max(ph.var(), ex.var())),
                         note=f"no convergence by t={cap_tc:g} T_c (spread {spread:.3e})")
@@ -567,13 +646,16 @@ def steady_state(params: ModelParams, parity: int, method: str = "long_time",
     long_time evolves the canonical initial state until both observables vary
     by less than obs_tol over a window_tc window (and the Liouvillian residual
     is below residual_tol), capped at cap_tc; hitting the cap yields
-    converged=False with window-averaged observables. null_space solves for
-    the kernel of the vectorized Liouvillian directly: one sparse LU of the
-    Liouvillian with its rho_00 row replaced by the trace row. Singular or
-    ill-conditioned points fall back to a dense SVD of the Liouvillian, which
-    reports a degenerate kernel (converged=False) with its dimension. Either
-    route reports converged=False when more than 1e-8 of the population sits
-    in the top two Fock levels, i.e. when the cutoff n_max is too tight.
+    converged=False with window-averaged observables. It propagates with the
+    same size switch as evolve_master (dense RK4 while dim^2 <= 1600, else
+    the sparse Taylor kernel), so it builds no dense Liouvillian above the
+    switch. null_space solves for the kernel of the vectorized Liouvillian
+    directly: one sparse LU of the Liouvillian with its rho_00 row replaced
+    by the trace row. Singular or ill-conditioned points fall back to a dense
+    SVD of the Liouvillian, which reports a degenerate kernel
+    (converged=False) with its dimension. Either route reports
+    converged=False when more than 1e-8 of the population sits in the top
+    two Fock levels, i.e. when the cutoff n_max is too tight.
     """
     if method == "long_time":
         return _steady_long_time(params, parity, initial, obs_tol, residual_tol,

@@ -74,7 +74,6 @@ class ComplexLevel:
     label: tuple
     values: np.ndarray
     weak_link: np.ndarray  # True where the ancestry overlap dropped below 0.5
-    vectors: np.ndarray | None = None  # (n_points, dim) when retained
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,8 @@ def _validate_grid(grid) -> np.ndarray:
     return vals
 
 
-def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | None = None,
-                   keep_vectors: bool = False) -> SpectrumSweep:
+def sweep_spectrum(params: ModelParams, parity, axis: str, grid,
+                   lam: float | None = None) -> SpectrumSweep:
     """Track the sector spectrum across a monotone grid of one parameter.
 
     Branches start in ascending-real-part order at the first grid point and
@@ -120,9 +119,6 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | No
     values = np.empty((dim, n_pts), dtype=complex)
     weak = np.zeros((dim, n_pts), dtype=bool)
     values[:, 0] = w_prev
-    kept = np.empty((dim, n_pts, dim), dtype=complex) if keep_vectors else None
-    if keep_vectors:
-        kept[:, 0, :] = v_prev.T
 
     for k in range(1, n_pts):
         w, vmat = next(eigensystems)
@@ -133,12 +129,9 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid, lam: float | No
         v_prev = vmat[:, perm]
         values[:, k] = w_prev
         weak[:, k] = overlap[np.arange(dim), perm] < _WEAK_OVERLAP
-        if keep_vectors:
-            kept[:, k, :] = v_prev.T
 
     levels = tuple(
-        ComplexLevel(label=(parity, b), values=values[b].copy(), weak_link=weak[b].copy(),
-                     vectors=kept[b].copy() if keep_vectors else None)
+        ComplexLevel(label=(parity, b), values=values[b].copy(), weak_link=weak[b].copy())
         for b in range(dim))
     return SpectrumSweep(axis=axis, values=vals, parity=parity, levels=levels,
                          base=params, lam=lam)

@@ -205,8 +205,7 @@ def test_criterion_08_transient_hump_drifts_left_and_dies_out():
     p = params()
     lam = 0.5
     grid = np.linspace(0.01, 0.2, 39)
-    snap60 = transient_snapshot(grid, lam, p, EVEN, 60.0)
-    snap120 = transient_snapshot(grid, lam, p, EVEN, 120.0)
+    snap60, snap120 = transient_snapshot(grid, lam, p, EVEN, (60.0, 120.0))
     pos60 = refined_extrema(grid, snap60[:, 2])
     pos120 = refined_extrema(grid, snap120[:, 2])
     steady_q = np.array([

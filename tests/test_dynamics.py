@@ -7,9 +7,11 @@ by SVD on independently rebuilt matrices.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from rabi_relax.dynamics import (SolverError, StateVector, TruncationError,
-                                 _kernel_report, _svd_kernel,
+from rabi_relax.dynamics import (_PROP_SUPERDIM_MAX, SolverError, StateVector,
+                                 TruncationError, _kernel_report, _svd_kernel,
+                                 _TaylorPropagator,
                                  canonical_initial_state, evolve_effective,
                                  evolve_master, observables, steady_map,
                                  steady_state, transient_snapshot,
@@ -54,7 +56,7 @@ def test_master_keeps_physicality_over_long_runs():
 @pytest.mark.parametrize("n_max", [8, 20])
 def test_chain_and_full_basis_propagation_agree(n_max):
     # at n_max 20 the full basis (superoperator dim 1764) takes the sparse
-    # exponential while the chain keeps the dense RK4 propagator
+    # Taylor kernel while the chain keeps the dense RK4 propagator
     p = params(n_max=n_max)
     chain_rho = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
     full_rho = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"), basis=FULL)
@@ -123,6 +125,36 @@ def test_population_reaching_the_cutoff_aborts_evolution(solver):
             evolve_master(DensityMatrix.from_bare(p.cutoff, BareState(2, "g")), p, grid)
         else:
             evolve_effective(StateVector.from_bare(p.cutoff, BareState(2, "g")), p, grid)
+
+
+# ------------------------------------------------------ sparse Taylor kernel
+
+@pytest.mark.parametrize("t_tc", [0.0, 0.3, 60.0])
+def test_taylor_kernel_matches_dense_exponential(t_tc):
+    p = params(n_max=8)
+    lsp = _liouvillian_sparse(p, EVEN)
+    psi = bare_vector(p.cutoff, BareState(2, "g")) + bare_vector(p.cutoff, BareState(1, "e"))
+    v = np.outer(psi, psi.conj()).reshape(-1) / 2.0
+    dt = t_tc * np.pi / p.omega
+    got = _TaylorPropagator(lsp).apply(v, dt)
+    assert np.max(np.abs(got - expm(lsp.toarray() * dt) @ v)) < 1e-12
+
+
+def test_fig3_dynamics_above_the_size_switch_match_dense_exponential():
+    # n_max 40 takes the sparse Taylor kernel (dim^2 = 1681) without building
+    # the dense Liouvillian; the reference applies expm(L * 1 T_c) repeatedly
+    p = params(n_max=40)
+    assert p.cutoff.dim ** 2 > _PROP_SUPERDIM_MAX
+    rho0 = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
+    misses = liouvillian_matrix.cache_info().misses
+    traj, _ = evolve_master(rho0, p, np.linspace(0.0, 60.0, 601), store_states=True)
+    assert liouvillian_matrix.cache_info().misses == misses
+    step = expm(_liouvillian_sparse(p, EVEN).toarray() * (np.pi / p.omega))
+    v = rho0.entries.reshape(-1).astype(complex)
+    for k in range(1, 61):
+        v = step @ v
+        if k in (1, 7, 30, 60):
+            assert np.max(np.abs(traj.states[10 * k].reshape(-1) - v)) < 1e-12
 
 
 # ----------------------------------------------------------- effective path
@@ -232,6 +264,14 @@ def test_unique_kernel_needs_no_dense_liouvillian():
     assert liouvillian_matrix.cache_info().misses == misses
 
 
+def test_long_time_above_the_size_switch_needs_no_dense_liouvillian():
+    p = params(n_max=40)
+    misses = liouvillian_matrix.cache_info().misses
+    rep = steady_state(p, EVEN, method="long_time", window_tc=1.0, cap_tc=2.0)
+    assert liouvillian_matrix.cache_info().misses == misses
+    assert np.isfinite(rep.residual)
+
+
 @pytest.mark.parametrize("method", ["null_space", "long_time"])
 def test_steady_state_population_at_the_cutoff_is_flagged(method):
     # at g = 2 a cutoff of 4 leaves 0.31 of the steady population in n = 3, 4
@@ -271,14 +311,15 @@ def test_transient_snapshot_matches_direct_evolution():
     p = params(n_max=10)
     lam = 0.5
     g1_values = np.array([0.05, 0.1])
-    out = transient_snapshot(g1_values, lam, p, EVEN, 12.0)
-    assert out.shape == (2, 3)
+    out = transient_snapshot(g1_values, lam, p, EVEN, (5.0, 12.0))
+    assert out.shape == (2, 2, 3)
     point = p.with_ratio(0.1, lam)
     rho0 = DensityMatrix.from_bare(p.cutoff, canonical_initial_state(EVEN))
     traj, _ = evolve_master(rho0, point, np.linspace(0.0, 12.0, 13))
-    assert out[1, 0] == pytest.approx(0.1, abs=0)
-    assert out[1, 1] == pytest.approx(traj.mean_photon[-1], abs=1e-9)
-    assert out[1, 2] == pytest.approx(traj.qubit_excitation[-1], abs=1e-9)
+    for block, k in zip(out, (5, 12)):
+        assert block[1, 0] == pytest.approx(0.1, abs=0)
+        assert block[1, 1] == pytest.approx(traj.mean_photon[k], abs=1e-9)
+        assert block[1, 2] == pytest.approx(traj.qubit_excitation[k], abs=1e-9)
 
 
 def test_truncation_check_is_small_when_cutoff_is_generous():
