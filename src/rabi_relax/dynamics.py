@@ -19,6 +19,7 @@ observables; the dense Liouvillian is never built above the switch.
 Steady states come from long-time relaxation or from the Liouvillian kernel,
 solved with one sparse LU of the trace-bordered Liouvillian; a dense SVD of
 the Liouvillian stays as the audit oracle and resolves degenerate kernels.
+scipy.sparse.linalg is imported inside that solve, so propagation never loads it.
 
 User-facing times are in units of T_c = pi/omega; integration is in 1/omega.
 """
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .hilbert import (CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND, _frozen,
                       build_parity_chain, parity_of)
@@ -265,7 +265,7 @@ class _TaylorPropagator:
 
     def __init__(self, gen: sparse.csr_matrix):
         self.gen = gen
-        self._norm = float(sparse.linalg.norm(gen, 1))
+        self._norm = float(abs(gen).sum(axis=0).max())  # the 1-norm
         self._plans: dict[float, tuple[int, int, float]] = {}
 
     def _plan(self, dt: float) -> tuple[int, int, float]:
@@ -574,6 +574,8 @@ def _direct_kernel(params: ModelParams, parity: int,
     singular or ill-conditioned (above 1/_KERNEL_RTOL) matrix hands the point
     to the SVD oracle, which resolves the kernel dimension.
     """
+    from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
+
     dim = params.cutoff.dim
     n = dim * dim
     trace_row = sparse.csr_matrix(
@@ -587,7 +589,7 @@ def _direct_kernel(params: ModelParams, parity: int,
                              rmatvec=lambda x: lu.solve(x, trans="H"))
     # t=1 keeps the estimate deterministic: larger blocks draw random start
     # columns from numpy's global generator
-    cond = sparse.linalg.norm(bordered, 1) * onenormest(inverse, t=1)
+    cond = norm(bordered, 1) * onenormest(inverse, t=1)
     if cond > 1.0 / _KERNEL_RTOL:
         return _svd_kernel(params, parity)
     e0 = np.zeros(n, dtype=complex)

@@ -30,7 +30,6 @@ EXCITED = "e"
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
-EXCITED_PROJECTOR = np.array([[0.0, 0.0], [0.0, 1.0]])
 
 CHAIN_TAGS = (EVEN, ODD)
 BASIS_TAGS = (EVEN, ODD, FULL, PHOTON)
@@ -173,28 +172,6 @@ def two_photon_lowering(cutoff: FockCutoff, basis=PHOTON) -> OperatorMatrix:
     if basis == FULL:
         return OperatorMatrix(cutoff.full_dim, np.kron(a2, np.eye(2)), FULL)
     raise ValueError(f"unknown basis tag {basis!r}")
-
-
-@lru_cache(maxsize=None)
-def number_operator(cutoff: FockCutoff, basis=PHOTON) -> OperatorMatrix:
-    """Photon number a^dag a; diagonal in every basis used here."""
-    ns = np.arange(cutoff.dim, dtype=float)
-    if basis in (PHOTON, EVEN, ODD):
-        return OperatorMatrix(cutoff.dim, np.diag(ns).astype(complex), basis)
-    if basis == FULL:
-        return OperatorMatrix(cutoff.full_dim, np.diag(np.repeat(ns, 2)).astype(complex), FULL)
-    raise ValueError(f"unknown basis tag {basis!r}")
-
-
-@lru_cache(maxsize=None)
-def excitation_projector(cutoff: FockCutoff, basis) -> OperatorMatrix:
-    """Projector onto the excited qubit state, |e><e|, on a chain or full basis."""
-    if basis in CHAIN_TAGS:
-        bits = build_parity_chain(basis, cutoff).excitation_bits().astype(float)
-        return OperatorMatrix(cutoff.dim, np.diag(bits).astype(complex), basis)
-    if basis == FULL:
-        return OperatorMatrix(cutoff.full_dim, np.kron(np.eye(cutoff.dim), EXCITED_PROJECTOR).astype(complex), FULL)
-    raise ValueError(f"excitation projector needs a chain or full basis, got {basis!r}")
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,8 @@ bisection for the exceptional point of a resonant doublet, and eigenbasis
 decomposition of initial states. Only the right eigenvectors are computed.
 
 Eigenvalues are absolute (same units as omega); sweep axis values likewise.
+scipy.optimize is imported inside the functions that use it, so importing this
+module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
 
 from .hilbert import CHAIN_TAGS, EVEN, ODD
 from .model import ModelParams, build_effective_hamiltonian
@@ -109,6 +110,8 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid,
     follow maximal eigenvector overlap afterwards (a rectangular assignment,
     so every eigenvalue is claimed by exactly one branch).
     """
+    from scipy.optimize import linear_sum_assignment
+
     vals = _validate_grid(grid)
     eigensystems = (complex_spectrum(_point_params(params, axis, x, lam), parity)
                     for x in vals)
@@ -186,6 +189,8 @@ def find_avoided_crossings(sweep: SpectrumSweep, gap_threshold: float = 0.5,
     be a degeneracy: degenerate is set only when the imaginary parts also
     agree to within floor, as at a true non-Hermitian degeneracy.
     """
+    from scipy.optimize import brentq
+
     e_mat = sweep.eigenvalue_matrix()
     x = sweep.values
     if x.size < 3:
@@ -257,6 +262,8 @@ def find_exceptional_point(params: ModelParams, n: int, g1_grid=None,
     is bisected over g1. Returns a CrossingEvent at the closure, or None when
     no sign change exists on the grid (n = 0 has no exceptional point).
     """
+    from scipy.optimize import brentq
+
     if n < 0:
         raise ValueError("doublet index must be non-negative")
     if abs(params.delta - params.omega) > 1e-12 * params.omega:

@@ -1,6 +1,10 @@
 """End-to-end runs of the command line front end, in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,24 @@ def test_bad_configs_exit_with_code_two(tmp_path, capsys, text):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("dynamics", "g1", "nan"),
+    ("dynamics", "omega", "nan"),
+    ("dynamics", "t_max", "nan"),
+    ("dynamics", "t_max", "inf"),
+    ("steady", "kappa", "nan"),
+])
+def test_non_finite_numbers_exit_with_code_two(tmp_path, capsys, command, key, value):
+    lines = [l for l in BASE.splitlines() if not l.startswith(key + " ")]
+    if command == "steady":
+        lines.append("steady_method = null_space")
+    lines.append(f"{key} = {value}")
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    rc, out, err = run(capsys, command, "--config", cfg)
+    assert rc == 2 and out == ""
+    assert f"run.cfg:{len(lines)}: {key}: not a finite number: '{value}'" in err
+
+
 def test_missing_config_file_exits_with_code_two(capsys):
     rc, _, err = run(capsys, "dynamics", "--config", "/no/such/file.cfg")
     assert rc == 2 and "config error" in err
@@ -232,6 +254,40 @@ def test_population_reaching_the_cutoff_exits_with_code_three(tmp_path, capsys):
     rc, out, err = run(capsys, "dynamics", "--config", cfg)
     assert rc == 3 and out == ""
     assert "solver error" in err and "n_max=4" in err
+
+
+# ----------------------------------------------------------------- start-up
+
+_IMPORT_PROBE = """
+import sys
+import rabi_relax, rabi_relax.cli as cli
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.sparse.linalg") if m in sys.modules]
+
+print(loaded())
+assert cli.main(["dynamics", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+print(loaded())
+assert cli.main(["steady", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+print(loaded())
+"""
+
+
+def test_scipy_optimize_and_sparse_linalg_load_only_where_used(tmp_path):
+    # a fresh interpreter: this one has already imported scipy.optimize
+    dyn = write_cfg(tmp_path, BASE.replace("n_max = 8", "n_max = 40") +
+                    "t_max = 0.5\nsamples = 2\n", "dyn.cfg")
+    steady = write_cfg(tmp_path, BASE + "steady_method = null_space\n", "steady.cfg")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, dyn, steady,
+                           str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_dynamics, after_steady = proc.stdout.splitlines()
+    assert after_import == "[]"
+    # n_max 40 is above the size switch: the sparse Taylor route
+    assert after_dynamics == "[]"
+    assert after_steady == "['scipy.sparse.linalg']"
 
 
 # ------------------------------------------------------------------- verify

@@ -8,6 +8,7 @@ by SVD on independently rebuilt matrices.
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.linalg import norm as sparse_norm
 
 from rabi_relax.dynamics import (_PROP_SUPERDIM_MAX, SolverError, StateVector,
                                  TruncationError, _kernel_report, _svd_kernel,
@@ -138,6 +139,14 @@ def test_taylor_kernel_matches_dense_exponential(t_tc):
     dt = t_tc * np.pi / p.omega
     got = _TaylorPropagator(lsp).apply(v, dt)
     assert np.max(np.abs(got - expm(lsp.toarray() * dt) @ v)) < 1e-12
+
+
+@pytest.mark.parametrize("n_max, basis", [(20, EVEN), (40, EVEN), (40, ODD), (20, FULL)])
+def test_taylor_plan_norm_is_scipys_one_norm(n_max, basis):
+    # the kernel computes the 1-norm without scipy.sparse.linalg; it must be
+    # bit-equal to scipy's, so the Taylor plan (degree, substeps) is unchanged
+    gen = _liouvillian_sparse(params(n_max=n_max), basis)
+    assert _TaylorPropagator(gen)._norm == float(sparse_norm(gen, 1))
 
 
 def test_fig3_dynamics_above_the_size_switch_match_dense_exponential():

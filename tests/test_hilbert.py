@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rabi_relax.hilbert import (EVEN, FULL, ODD, PHOTON, BareState, FockCutoff,
+from rabi_relax.dynamics import _observable_diags
+from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff,
                                 build_annihilation, build_parity_chain, embed_full,
-                                excitation_projector, full_index, number_operator,
-                                parity_of, parity_operator, two_photon_lowering)
+                                full_index, parity_of, parity_operator,
+                                two_photon_lowering)
 
 CUT = FockCutoff(4)
 
@@ -74,12 +75,13 @@ def test_truncated_commutator_deviation_is_confined_to_the_corner():
 
 
 def test_number_operator_and_projector_per_basis():
-    assert np.array_equal(np.diagonal(number_operator(CUT, EVEN).entries),
-                          np.arange(5.0))
-    proj = excitation_projector(CUT, ODD).entries
-    assert np.array_equal(np.diagonal(proj), np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
-    proj_full = excitation_projector(CUT, FULL).entries
-    assert np.array_equal(np.diagonal(proj_full), np.tile([0.0, 1.0], 5))
+    # the photon-number and excited-qubit diagonals every observable reads
+    ns, _ = _observable_diags(EVEN, CUT.dim)
+    assert np.array_equal(ns, np.arange(5.0))
+    _, bits = _observable_diags(ODD, CUT.dim)
+    assert np.array_equal(bits, np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
+    _, bits_full = _observable_diags(FULL, CUT.full_dim)
+    assert np.array_equal(bits_full, np.tile([0.0, 1.0], 5))
 
 
 def test_full_index_interleaves_qubit_fastest():
