@@ -8,13 +8,21 @@ Taylor polynomial of h*G, so we precompute that one-step matrix and apply
 cached matrix powers per sample interval.
 
 Every master-equation propagation (evolve_master and the long_time steady
-state) takes its propagator from one size switch. While the vectorized
-Liouvillian is small (dim^2 <= 1600) it is the cached dense RK4 matrix; above
-that it is the truncated Taylor series of the sparse Liouvillian (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)), applied to the state without a
-trace shift, with its degree and substep count chosen once per interval
-length. The two differ by the RK4 truncation error, about 1e-10 in the
-observables; the dense Liouvillian is never built above the switch.
+state) runs in real coordinates: a Lindblad generator maps Hermitian matrices
+to Hermitian matrices, so in the orthonormal basis of `model._hermitian_basis`
+(rho_ii, then sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for i < j) the state x
+and the generator `model._liouvillian_real` are real (the coherence-vector
+picture, Alicki & Lendi, Quantum Dynamical Semigroups, LNP 717). Observables
+read the diagonal x[:dim] and the purity x @ x; rho itself is rebuilt only
+for the positivity guard, stored states and the returned density matrix.
+The propagator comes from one size switch. While the generator is small
+(dim^2 <= 1600) it is the cached dense RK4 matrix; above that it is the
+truncated Taylor series of the sparse generator (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488 (2011)), applied to the state without a trace shift,
+with its degree and substep count chosen once per interval length. The two
+differ by the RK4 truncation error, about 1e-10 in the observables; no
+dense Liouvillian is built on either route. The no-jump solver stays
+complex: H_eff is genuinely complex.
 
 Steady states come from long-time relaxation or from the Liouvillian kernel,
 solved with one sparse LU of the trace-bordered Liouvillian; a dense SVD of
@@ -37,15 +45,26 @@ from .hilbert import (CHAIN_TAGS, EVEN, FULL, ODD, BareState, FockCutoff, GROUND
 from .model import (
     DensityMatrix,
     ModelParams,
+    _hermitian_basis,
+    _liouvillian_real,
     _liouvillian_sparse,
     bare_vector,
     build_effective_hamiltonian,
     liouvillian_matrix,
 )
 
-# Largest vectorized-generator dimension (dim^2) propagated with the cached dense
-# RK4 matrix. One dense matrix serves every sample interval of a run, but its
-# dim^4 memory and matrix powers lose to the sparse Taylor kernel above this size.
+# Largest generator dimension (dim^2) propagated with the cached dense RK4
+# matrix. One dense matrix serves every sample interval of a run, but its dim^4
+# memory and matrix powers lose to the sparse Taylor kernel above this size.
+# Fig. 3 chains on the real generator, seconds (faster of two single runs, one
+# CPU, one BLAS thread), dense RK4 / Taylor:
+#   n_max                        20          25          30          35          39
+#   evolve_master, 601 samples   0.12/0.19   0.23/0.29   0.46/0.49   0.94/0.62   1.68/0.69
+#   one long_time point          0.11/0.83   0.36/1.23   0.82/1.94   1.68/2.74   2.68/3.88
+# Dense RK4 wins long_time at every size up to n_max 39 and dynamics up to
+# about n_max 30; at 35 and 39 the Taylor kernel's dynamics gain is matched or
+# outweighed by its long_time loss, so no lower switch pays. It must stay >= 441
+# so that every n_max <= 20 chain keeps the dense route.
 _PROP_SUPERDIM_MAX = 1600
 
 # theta_m of Al-Mohy & Higham (2011), double precision: the largest 1-norm of
@@ -218,7 +237,7 @@ def _time_grid(t_grid, omega: float) -> tuple[np.ndarray, np.ndarray]:
 def _rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
     """One fixed-step RK4 update matrix for x' = gen x (degree-4 Taylor of h*gen)."""
     hg = h * gen
-    out = np.eye(gen.shape[0], dtype=complex) + hg
+    out = np.eye(gen.shape[0], dtype=gen.dtype) + hg
     term = hg
     for k in (2.0, 3.0, 4.0):
         term = term @ hg / k
@@ -302,13 +321,15 @@ class _TaylorPropagator:
 def _master_propagator(params: ModelParams, basis):
     """The one size switch of master-equation propagation.
 
-    Dense cached RK4 while dim^2 <= _PROP_SUPERDIM_MAX, else the sparse Taylor
-    kernel, which never builds the dense dim^4 Liouvillian.
+    Both routes take the real generator `_liouvillian_real`: as a dense
+    matrix to the cached RK4 propagator while dim^2 <= _PROP_SUPERDIM_MAX,
+    else as it is, sparse, to the Taylor kernel.
     """
     dim = _expected_dim(params, basis)
+    gen = _liouvillian_real(params, basis)
     if dim * dim <= _PROP_SUPERDIM_MAX:
-        return _Rk4Propagator(liouvillian_matrix(params, basis), _step_bound(params))
-    return _TaylorPropagator(_liouvillian_sparse(params, basis))
+        return _Rk4Propagator(gen.toarray(), _step_bound(params))
+    return _TaylorPropagator(gen)
 
 
 def _expected_dim(params: ModelParams, basis) -> int:
@@ -360,11 +381,13 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
                   store_states: bool = False) -> tuple[Trajectory, DensityMatrix]:
     """Integrate the master equation, sampling observables at t_grid (T_c units).
 
-    The propagator comes from the one size switch of the module: the cached
-    dense RK4 matrix while dim^2 <= _PROP_SUPERDIM_MAX, else the unshifted
-    truncated Taylor series of the sparse Liouvillian, planned once per
-    distinct sample interval; the two differ by the RK4 truncation error,
-    about 1e-10. Returns the trajectory and the final density matrix. Aborts
+    The state is propagated as the real coordinate vector of rho under the
+    real generator. The propagator comes from the one size switch of the
+    module: the cached dense RK4 matrix while dim^2 <= _PROP_SUPERDIM_MAX,
+    else the unshifted truncated Taylor series of the sparse generator,
+    planned once per distinct sample interval; the two differ by the RK4
+    truncation error, about 1e-10. Returns the trajectory and the final
+    density matrix, which is Hermitian by construction. Aborts
     with a diagnostic if the trace drifts, negativity grows or the population
     in the top two Fock levels exceeds 1e-6 at a sample.
     """
@@ -379,7 +402,9 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
 
     times, dts = _time_grid(t_grid, params.omega)
     prop = _master_propagator(params, basis)
-    v = rho0.entries.reshape(-1).astype(complex)
+    u = _hermitian_basis(dim)
+    uh = u.conj().T
+    x = (u @ rho0.entries.reshape(-1)).real
 
     n_samp = times.size
     photon = np.empty(n_samp)
@@ -390,21 +415,21 @@ def evolve_master(rho0: DensityMatrix, params: ModelParams, t_grid,
 
     for i in range(n_samp):
         if dts[i] > 1e-15:
-            v = prop.apply(v, dts[i])
-        rho = v.reshape(dim, dim)
+            x = prop.apply(x, dts[i])
+        rho = (uh @ x).reshape(dim, dim)
         _guard_sample(rho, times[i])
-        diag = np.diagonal(rho).real
+        diag = x[:dim]
         _guard_cutoff(float(diag[top].sum()), params, times[i])
         photon[i] = diag @ ns
         qubit[i] = diag @ bits
         trace[i] = diag.sum()
-        purity[i] = np.vdot(rho, rho).real
+        purity[i] = x @ x
         if store_states:
-            kept.append(rho.copy())
+            kept.append(rho)
 
     traj = Trajectory(times, photon, qubit, trace, purity,
                       tuple(kept) if store_states else None)
-    return traj, DensityMatrix(basis, v.reshape(dim, dim).copy())
+    return traj, DensityMatrix(basis, rho)
 
 
 def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
@@ -502,33 +527,33 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
 
     per_window = max(2, int(round(window_tc / sample_dt_tc)))
     n_windows = max(1, int(math.ceil(cap_tc / window_tc)))
-    diag_idx = np.arange(dim) * (dim + 1)
 
-    v = rho0.entries.reshape(-1).astype(complex)
+    u = _hermitian_basis(dim)
+    uh = u.conj().T
+    x = (u @ rho0.entries.reshape(-1)).real
     t_tc = 0.0
     ph = np.empty(per_window)
     ex = np.empty(per_window)
     for _ in range(n_windows):
-        v_sum = np.zeros_like(v)
+        x_sum = np.zeros_like(x)
         for s in range(per_window):
-            v = prop.apply(v, dt)
-            diag = v[diag_idx].real
-            ph[s] = diag @ ns
-            ex[s] = diag @ bits
-            v_sum += v
+            x = prop.apply(x, dt)
+            ph[s] = x[:dim] @ ns
+            ex[s] = x[:dim] @ bits
+            x_sum += x
         t_tc += window_tc
-        _guard_sample(v.reshape(dim, dim), t_tc)
+        _guard_sample((uh @ x).reshape(dim, dim), t_tc)
         spread = max(ph.max() - ph.min(), ex.max() - ex.min())
         if spread < obs_tol:
-            residual = float(np.linalg.norm(prop.gen @ v))
+            residual = float(np.linalg.norm(prop.gen @ x))
             if residual <= residual_tol:
-                rho = DensityMatrix(parity, v.reshape(dim, dim))
-                note = _cutoff_note(v[diag_idx].real, ns, params)
+                rho = DensityMatrix(parity, (uh @ x).reshape(dim, dim))
+                note = _cutoff_note(x[:dim], ns, params)
                 return SteadyReport(not note, rho, float(ph[-1]), float(ex[-1]), residual,
                                     float(max(ph.var(), ex.var())), note=note)
-    v_avg = v_sum / per_window
-    rho = DensityMatrix(parity, v_avg.reshape(dim, dim))
-    residual = float(np.linalg.norm(prop.gen @ v_avg))
+    x_avg = x_sum / per_window
+    rho = DensityMatrix(parity, (uh @ x_avg).reshape(dim, dim))
+    residual = float(np.linalg.norm(prop.gen @ x_avg))
     return SteadyReport(False, rho, float(ph.mean()), float(ex.mean()), residual,
                         float(max(ph.var(), ex.var())),
                         note=f"no convergence by t={cap_tc:g} T_c (spread {spread:.3e})")
@@ -648,12 +673,12 @@ def steady_state(params: ModelParams, parity: int, method: str = "long_time",
     long_time evolves the canonical initial state until both observables vary
     by less than obs_tol over a window_tc window (and the Liouvillian residual
     is below residual_tol), capped at cap_tc; hitting the cap yields
-    converged=False with window-averaged observables. It propagates with the
-    same size switch as evolve_master (dense RK4 while dim^2 <= 1600, else
-    the sparse Taylor kernel), so it builds no dense Liouvillian above the
-    switch. null_space solves for the kernel of the vectorized Liouvillian
-    directly: one sparse LU of the Liouvillian with its rho_00 row replaced
-    by the trace row. Singular or ill-conditioned points fall back to a dense
+    converged=False with window-averaged observables. It propagates like
+    evolve_master, in real coordinates through the same size switch (dense
+    RK4 while dim^2 <= 1600, else the sparse Taylor kernel), and builds no
+    dense Liouvillian. null_space solves for the kernel of the vectorized
+    Liouvillian directly: one sparse LU of the Liouvillian with its rho_00
+    row replaced by the trace row. Singular or ill-conditioned points fall back to a dense
     SVD of the Liouvillian, which reports a degenerate kernel
     (converged=False) with its dimension. Either route reports
     converged=False when more than 1e-8 of the population sits in the top

@@ -85,10 +85,6 @@ class ModelParams:
         return replace(self, g1=g1, g2=lam * g1)
 
 
-class BasisMismatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix on a chain or full basis with validity bookkeeping."""
@@ -201,47 +197,6 @@ def _lowering_for(params: ModelParams, basis) -> np.ndarray:
     return two_photon_lowering(params.cutoff, basis).entries
 
 
-def apply_dissipator(params: ModelParams, rho: DensityMatrix) -> np.ndarray:
-    """D[a^2] rho = 2k a^2 rho (a^dag)^2 - k {(a^dag)^2 a^2, rho}.
-
-    Trace-free for any argument (the truncated jump operator still forms an
-    exact Lindblad pair with its own anticommutator); what truncation costs is
-    the missing feed from above n_max, not trace conservation.
-    """
-    return _dissipator_action(rho.entries, params.kappa, _lowering_for(params, rho.basis_tag),
-                              _pair_decay_diag(params.cutoff, rho.basis_tag))
-
-
-def _dissipator_action(arr: np.ndarray, kappa: float, a2: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
-    if kappa == 0.0:
-        return np.zeros_like(arr)
-    feed = 2.0 * kappa * (a2 @ arr @ a2.conj().T)
-    # the anticommutator partner (a^dag)^2 a^2 is diagonal: scale rows and columns
-    feed -= kappa * (kdiag[:, None] * arr + arr * kdiag[None, :])
-    return feed
-
-
-def liouvillian_rhs(params: ModelParams, H: OperatorMatrix, rho: DensityMatrix) -> np.ndarray:
-    """-i[H, rho] + D[a^2] rho."""
-    if H.basis_tag != rho.basis_tag or H.dim != rho.dim:
-        raise BasisMismatchError(
-            f"H on basis {H.basis_tag!r} (dim {H.dim}) does not match rho on "
-            f"{rho.basis_tag!r} (dim {rho.dim})")
-    h = H.entries
-    arr = rho.entries
-    return -1j * (h @ arr - arr @ h) + apply_dissipator(params, rho)
-
-
-def split_jump(params: ModelParams, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(-i(H_eff rho - rho H_eff^dag), 2k a^2 rho (a^dag)^2); sums to liouvillian_rhs."""
-    heff = build_effective_hamiltonian(params, rho.basis_tag).entries
-    arr = rho.entries
-    effective = -1j * (heff @ arr - arr @ heff.conj().T)
-    a2 = _lowering_for(params, rho.basis_tag)
-    jump = 2.0 * params.kappa * (a2 @ arr @ a2.conj().T)
-    return effective, jump
-
-
 def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
     """Sparse form of `liouvillian_matrix`; about 0.5% of its dim^4 entries are non-zero.
 
@@ -259,10 +214,43 @@ def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def liouvillian_matrix(params: ModelParams, basis=EVEN) -> np.ndarray:
-    """Vectorized Liouvillian: L @ rho.reshape(-1) == liouvillian_rhs(rho).reshape(-1).
+def _hermitian_basis(dim: int) -> sparse.csr_matrix:
+    """Unitary U from row-major vec(rho) to real coordinates of a Hermitian rho.
 
-    Dense copy of `_liouvillian_sparse`. The cache is small on purpose: one
-    entry costs dim^4 complex numbers.
+    x = U vec(rho) holds rho_ii first, then sqrt(2) Re rho_ij and then
+    sqrt(2) Im rho_ij over i < j in row-major order. x is real for Hermitian
+    rho, x[:dim] is its diagonal, x @ x = Tr rho^2 (U is orthonormal), and
+    rho = (U^H x).reshape(dim, dim). Callers must not modify the cached matrix.
+    """
+    i, j = np.triu_indices(dim, 1)
+    pairs = i.size
+    upper, lower = i * dim + j, j * dim + i
+    re_rows = dim + np.arange(pairs)
+    im_rows = re_rows + pairs
+    s = 1.0 / np.sqrt(2.0)
+    rows = np.concatenate([np.arange(dim), re_rows, re_rows, im_rows, im_rows])
+    cols = np.concatenate([np.arange(dim) * (dim + 1), upper, lower, upper, lower])
+    vals = np.concatenate([np.ones(dim), np.full(2 * pairs, s),
+                           np.full(pairs, -1j * s), np.full(pairs, 1j * s)])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
+def _liouvillian_real(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
+    """The Liouvillian in the real coordinates of `_hermitian_basis`: (U L U^H).real.
+
+    L maps Hermitian matrices to Hermitian matrices, so U L U^H is real; the
+    imaginary part the product carries is exactly zero and is dropped.
+    """
+    u = _hermitian_basis(build_hamiltonian(params, basis).dim)
+    return (u @ _liouvillian_sparse(params, basis) @ u.conj().T).real.tocsr()
+
+
+@lru_cache(maxsize=8)
+def liouvillian_matrix(params: ModelParams, basis=EVEN) -> np.ndarray:
+    """Dense copy of `_liouvillian_sparse`, L @ vec(rho) = vec(drho/dt) in row-major vec.
+
+    Only the dense SVD oracle of the steady state uses it; propagation runs
+    on `_liouvillian_real`. The cache is small on purpose: one entry costs
+    dim^4 complex numbers.
     """
     return _frozen(_liouvillian_sparse(params, basis).toarray())

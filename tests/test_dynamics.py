@@ -11,16 +11,17 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import norm as sparse_norm
 
 from rabi_relax.dynamics import (_PROP_SUPERDIM_MAX, SolverError, StateVector,
-                                 TruncationError, _kernel_report, _svd_kernel,
-                                 _TaylorPropagator,
+                                 TruncationError, _kernel_report, _master_propagator,
+                                 _Rk4Propagator, _rk4_step_matrix, _step_bound,
+                                 _svd_kernel, _TaylorPropagator,
                                  canonical_initial_state, evolve_effective,
                                  evolve_master, observables, steady_map,
                                  steady_state, transient_snapshot,
                                  truncation_check)
 from rabi_relax.analytic import jc_population
 from rabi_relax.hilbert import EVEN, FULL, ODD, BareState, FockCutoff, embed_full
-from rabi_relax.model import (DensityMatrix, ModelParams, _liouvillian_sparse,
-                              bare_vector, liouvillian_matrix)
+from rabi_relax.model import (DensityMatrix, ModelParams, _liouvillian_real,
+                              _liouvillian_sparse, bare_vector, liouvillian_matrix)
 
 FIG_PARAMS = dict(delta=0.8, g1=0.1, g2=0.05, kappa=0.02)
 
@@ -72,6 +73,34 @@ def test_chain_and_full_basis_propagation_agree(n_max):
     d = p.cutoff.dim
     assert np.max(np.abs(arr[:d, d:])) < 1e-12
     assert np.max(np.abs(np.diagonal(arr[d:, d:]))) < 1e-12
+
+
+def test_dense_route_in_real_coordinates_matches_the_complex_generator():
+    # the cached RK4 propagator runs on the real generator; its states must
+    # match the same RK4 polynomial of the complex Liouvillian on vec(rho),
+    # and the exact exponential up to the RK4 truncation error (1.1e-9 by 30 T_c)
+    p = params(n_max=20)
+    prop = _master_propagator(p, EVEN)
+    assert isinstance(prop, _Rk4Propagator) and prop.gen.dtype == np.float64
+    rho0 = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
+    traj, _ = evolve_master(rho0, p, np.linspace(0.0, 30.0, 31), store_states=True)
+    lmat = liouvillian_matrix(p, EVEN)
+    dt = np.pi / p.omega
+    m = int(np.ceil(dt / _step_bound(p)))
+    rk4 = np.linalg.matrix_power(_rk4_step_matrix(lmat, dt / m), m)
+    exact = expm(lmat * dt)
+    v_rk4 = v_exact = rho0.entries.reshape(-1).astype(complex)
+    for k in range(1, 31):
+        v_rk4, v_exact = rk4 @ v_rk4, exact @ v_exact
+        if k in (1, 7, 30):
+            assert np.max(np.abs(traj.states[k].reshape(-1) - v_rk4)) < 1e-11
+            assert np.max(np.abs(traj.states[k].reshape(-1) - v_exact)) < 2e-9
+
+
+def test_rk4_step_matrix_follows_the_generator_dtype():
+    gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert _rk4_step_matrix(gen, 0.1).dtype == np.float64
+    assert _rk4_step_matrix(-1j * gen, 0.1).dtype == np.complex128
 
 
 def test_store_states_returns_snapshots_on_the_grid():
@@ -145,7 +174,7 @@ def test_taylor_kernel_matches_dense_exponential(t_tc):
 def test_taylor_plan_norm_is_scipys_one_norm(n_max, basis):
     # the kernel computes the 1-norm without scipy.sparse.linalg; it must be
     # bit-equal to scipy's, so the Taylor plan (degree, substeps) is unchanged
-    gen = _liouvillian_sparse(params(n_max=n_max), basis)
+    gen = _liouvillian_real(params(n_max=n_max), basis)
     assert _TaylorPropagator(gen)._norm == float(sparse_norm(gen, 1))
 
 

@@ -1,14 +1,58 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from rabi_relax.hilbert import EVEN, FULL, ODD, BareState, FockCutoff, embed_full
-from rabi_relax.model import (DensityMatrix, ModelParams, apply_dissipator,
-                              bare_vector, build_effective_hamiltonian,
-                              build_hamiltonian, liouvillian_matrix,
-                              liouvillian_rhs, split_jump)
+from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff, OperatorMatrix,
+                                embed_full)
+from rabi_relax.model import (DensityMatrix, ModelParams, _hermitian_basis,
+                              _liouvillian_real, _liouvillian_sparse, _lowering_for,
+                              _pair_decay_diag, bare_vector, build_effective_hamiltonian,
+                              build_hamiltonian, liouvillian_matrix)
 
 CUT3 = FockCutoff(3)
 CUT5 = FockCutoff(5)
+FIG3 = dict(delta=0.8, g1=0.1, g2=0.05, kappa=0.02)
+
+
+# ------------------------------------------- matrix-free master equation
+# The reference the vectorized generators are checked against: the Lindblad
+# right-hand side written with matrix products, no vectorization.
+
+def apply_dissipator(params: ModelParams, rho: DensityMatrix) -> np.ndarray:
+    """D[a^2] rho = 2k a^2 rho (a^dag)^2 - k {(a^dag)^2 a^2, rho}.
+
+    Trace-free for any argument (the truncated jump operator still forms an
+    exact Lindblad pair with its own anticommutator); what truncation costs is
+    the missing feed from above n_max, not trace conservation.
+    """
+    return _dissipator_action(rho.entries, params.kappa, _lowering_for(params, rho.basis_tag),
+                              _pair_decay_diag(params.cutoff, rho.basis_tag))
+
+
+def _dissipator_action(arr: np.ndarray, kappa: float, a2: np.ndarray, kdiag: np.ndarray) -> np.ndarray:
+    if kappa == 0.0:
+        return np.zeros_like(arr)
+    feed = 2.0 * kappa * (a2 @ arr @ a2.conj().T)
+    # the anticommutator partner (a^dag)^2 a^2 is diagonal: scale rows and columns
+    feed -= kappa * (kdiag[:, None] * arr + arr * kdiag[None, :])
+    return feed
+
+
+def liouvillian_rhs(params: ModelParams, H: OperatorMatrix, rho: DensityMatrix) -> np.ndarray:
+    """-i[H, rho] + D[a^2] rho."""
+    h = H.entries
+    arr = rho.entries
+    return -1j * (h @ arr - arr @ h) + apply_dissipator(params, rho)
+
+
+def split_jump(params: ModelParams, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(-i(H_eff rho - rho H_eff^dag), 2k a^2 rho (a^dag)^2); sums to liouvillian_rhs."""
+    heff = build_effective_hamiltonian(params, rho.basis_tag).entries
+    arr = rho.entries
+    effective = -1j * (heff @ arr - arr @ heff.conj().T)
+    a2 = _lowering_for(params, rho.basis_tag)
+    jump = 2.0 * params.kappa * (a2 @ arr @ a2.conj().T)
+    return effective, jump
 
 
 def small_params(**overrides):
@@ -152,6 +196,18 @@ def test_rhs_matches_vectorized_generator():
         assert np.max(np.abs(direct - via_matrix)) < 1e-13
 
 
+@pytest.mark.parametrize("basis", [EVEN, ODD, FULL])
+def test_real_generator_matches_matrix_free_rhs(basis):
+    p = small_params()
+    dim = p.cutoff.dim if basis != FULL else p.cutoff.full_dim
+    rho = random_density(np.random.default_rng(5), dim, basis)
+    u = _hermitian_basis(dim)
+    rhs = u @ liouvillian_rhs(p, build_hamiltonian(p, basis), rho).reshape(-1)
+    assert np.max(np.abs(rhs.imag)) < 1e-15
+    got = _liouvillian_real(p, basis) @ (u @ rho.entries.reshape(-1)).real
+    assert np.max(np.abs(got - rhs.real)) < 1e-13
+
+
 def test_rhs_conserves_trace_and_hermiticity():
     p = small_params()
     rho = random_density(np.random.default_rng(4), p.cutoff.dim, EVEN)
@@ -192,3 +248,44 @@ def test_bare_vector_infers_the_parity_chain():
     assert v.shape == (6,) and v[3] == 1.0
     with pytest.raises(ValueError):
         bare_vector(CUT5, BareState(3, "e"), basis=ODD)
+
+
+# ------------------------------------------------- real Hermitian coordinates
+
+@pytest.mark.parametrize("dim", [2, 9, 21, 42])
+def test_hermitian_basis_is_unitary_with_two_entries_per_row(dim):
+    u = _hermitian_basis(dim)
+    assert u.shape == (dim * dim, dim * dim)
+    assert np.diff(u.indptr).max() <= 2
+    # 1/sqrt(2) squared rounds to 0.5 + 2^-53
+    assert abs(u @ u.conj().T - sparse.identity(dim * dim)).max() < 1e-15
+    assert abs(u.conj().T @ u - sparse.identity(dim * dim)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n_max, basis", [(8, EVEN), (8, ODD), (20, EVEN), (20, ODD),
+                                          (20, FULL)])
+def test_real_generator_is_the_rotated_liouvillian(n_max, basis):
+    p = ModelParams(**FIG3, cutoff=FockCutoff(n_max))
+    lmat = _liouvillian_sparse(p, basis)
+    u = _hermitian_basis(build_hamiltonian(p, basis).dim)
+    rotated = (u @ lmat @ u.conj().T).toarray()
+    assert np.max(np.abs(rotated.imag)) == 0.0
+    real = _liouvillian_real(p, basis)
+    assert real.dtype == np.float64
+    dense = (u @ liouvillian_matrix(p, basis)) @ u.conj().T
+    assert np.max(np.abs(real.toarray() - dense)) < 1e-14
+
+
+@pytest.mark.parametrize("basis", [EVEN, FULL])
+def test_hermitian_coordinates_round_trip(basis):
+    p = small_params()
+    dim = p.cutoff.dim if basis != FULL else p.cutoff.full_dim
+    rho = random_density(np.random.default_rng(6), dim, basis).entries
+    u = _hermitian_basis(dim)
+    x = u @ rho.reshape(-1)
+    assert np.max(np.abs(x.imag)) < 1e-15
+    x = x.real
+    assert np.array_equal(x[:dim], np.diagonal(rho).real)
+    back = (u.conj().T @ x).reshape(dim, dim)
+    assert np.max(np.abs(back - rho)) < 1e-15
+    assert x @ x == pytest.approx(np.trace(rho @ rho).real, abs=1e-15)
