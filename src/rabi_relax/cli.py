@@ -389,6 +389,12 @@ def _cmd_steady(args) -> _Table:
         "cap_tc": cfg.take("cap_tc", _as_float, 1000.0),
         "sample_dt_tc": cfg.take("sample_dt_tc", _as_float, 0.25),
     }
+    for key in ("window_tc", "cap_tc", "sample_dt_tc"):
+        if tols[key] <= 0:
+            raise ConfigError(f"{cfg.line_of(key)}: {key} must be positive")
+    for key in ("obs_tol", "residual_tol"):
+        if tols[key] < 0:
+            raise ConfigError(f"{cfg.line_of(key)}: {key} must be non-negative")
     if method == "null_space":
         tols = {"residual_tol": tols["residual_tol"]}
     initial = _parse_initial(cfg, params, parity, allow_amps=False)

@@ -24,10 +24,12 @@ differ by the RK4 truncation error, about 1e-10 in the observables; no
 dense Liouvillian is built on either route. The no-jump solver stays
 complex: H_eff is genuinely complex.
 
-Steady states come from long-time relaxation or from the Liouvillian kernel,
-solved with one sparse LU of the trace-bordered Liouvillian; a dense SVD of
-the Liouvillian stays as the audit oracle and resolves degenerate kernels.
-scipy.sparse.linalg is imported inside that solve, so propagation never loads it.
+Steady states come from long-time relaxation or from the kernel of the same
+real generator, solved for x with one sparse LU of the generator whose rho_00
+row is replaced by the trace row (ones on x[:dim]); a dense SVD of the real
+generator resolves degenerate or ill-conditioned kernels. rho is rebuilt from
+x, so it is Hermitian by construction. scipy.sparse.linalg is imported inside
+that solve, so propagation never loads it.
 
 User-facing times are in units of T_c = pi/omega; integration is in 1/omega.
 """
@@ -47,10 +49,8 @@ from .model import (
     ModelParams,
     _hermitian_basis,
     _liouvillian_real,
-    _liouvillian_sparse,
     bare_vector,
     build_effective_hamiltonian,
-    liouvillian_matrix,
 )
 
 # Largest generator dimension (dim^2) propagated with the cached dense RK4
@@ -526,7 +526,8 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
     dt = sample_dt_tc * math.pi / params.omega
 
     per_window = max(2, int(round(window_tc / sample_dt_tc)))
-    n_windows = max(1, int(math.ceil(cap_tc / window_tc)))
+    window = per_window * sample_dt_tc  # the window evolved, T_c
+    n_windows = max(1, int(math.ceil(cap_tc / window)))
 
     u = _hermitian_basis(dim)
     uh = u.conj().T
@@ -541,7 +542,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
             ph[s] = x[:dim] @ ns
             ex[s] = x[:dim] @ bits
             x_sum += x
-        t_tc += window_tc
+        t_tc += window
         _guard_sample((uh @ x).reshape(dim, dim), t_tc)
         spread = max(ph.max() - ph.min(), ex.max() - ex.min())
         if spread < obs_tol:
@@ -556,7 +557,7 @@ def _steady_long_time(params: ModelParams, parity: int, initial, obs_tol: float,
     residual = float(np.linalg.norm(prop.gen @ x_avg))
     return SteadyReport(False, rho, float(ph.mean()), float(ex.mean()), residual,
                         float(max(ph.var(), ex.var())),
-                        note=f"no convergence by t={cap_tc:g} T_c (spread {spread:.3e})")
+                        note=f"no convergence by t={t_tc:g} T_c (spread {spread:.3e})")
 
 
 def _cutoff_note(diag: np.ndarray, ns: np.ndarray, params: ModelParams) -> str:
@@ -569,74 +570,86 @@ def _cutoff_note(diag: np.ndarray, ns: np.ndarray, params: ModelParams) -> str:
 
 
 def _svd_kernel(params: ModelParams, parity: int) -> tuple[np.ndarray | None, int]:
-    """Dense-SVD kernel of the Liouvillian: the audit oracle of the direct solve.
+    """Dense-SVD kernel of the real generator: resolves degenerate kernels.
 
-    Returns the kernel vector the trace functional projects onto (None when
-    the kernel holds no trace-class state) and the kernel dimension.
+    Returns the kernel vector in real coordinates that the trace functional
+    (the sum of x[:dim]) projects onto (None when the kernel holds no
+    trace-class state) and the kernel dimension.
     """
     dim = params.cutoff.dim
-    _, svals, vh = np.linalg.svd(liouvillian_matrix(params, parity))
+    _, svals, vh = np.linalg.svd(_liouvillian_real(params, parity).toarray())
     tol = svals[0] * _KERNEL_RTOL if svals[0] > 0 else _KERNEL_RTOL
-    kernel = vh[svals < tol].conj()
+    kernel = vh[svals < tol]
     k_dim = kernel.shape[0]
     if k_dim == 0:
         raise SolverError("Liouvillian kernel not resolved; singular values all above tolerance")
-    traces = kernel[:, np.arange(dim) * (dim + 1)].sum(axis=1)
+    traces = kernel[:, :dim].sum(axis=1)
     tnorm = float(np.linalg.norm(traces))
     if tnorm < 1e-12:
         return None, k_dim
-    return (traces.conj() / tnorm) @ kernel, k_dim
+    return (traces / tnorm) @ kernel, k_dim
 
 
 def _direct_kernel(params: ModelParams, parity: int,
-                   lsp: sparse.csr_matrix) -> tuple[np.ndarray | None, int]:
+                   lreal: sparse.csr_matrix) -> tuple[np.ndarray | None, int]:
     """Kernel vector by one sparse LU (the "direct" method, arXiv:1504.06768).
 
-    Trace preservation makes the diagonal rows of L sum to zero, so the rho_00
-    row is redundant; replacing it with the trace row leaves a matrix that is
-    singular exactly when the kernel is degenerate or holds no trace-class
-    state. Its 1-norm condition estimate follows sigma_max/sigma_2 of L, so a
-    singular or ill-conditioned (above 1/_KERNEL_RTOL) matrix hands the point
-    to the SVD oracle, which resolves the kernel dimension.
+    Trace preservation makes the rows of the real generator for x[:dim] (the
+    populations) sum to zero, so the rho_00 row is redundant; replacing it
+    with the trace row leaves a matrix that is singular exactly when the
+    kernel is degenerate or holds no trace-class state. Its 1-norm condition
+    estimate follows sigma_max/sigma_2 of L, so a singular or ill-conditioned
+    (above 1/_KERNEL_RTOL) matrix hands the point to the dense SVD, which
+    resolves the kernel dimension. Without loss (kappa = 0) L = -i[H, .]
+    keeps every function of H, so the kernel is never unique and the point
+    goes to the SVD at once; from n_max 20 up SuperLU aborts on that
+    bordered matrix, and the BLAS argument errors it raises reach stdout.
     """
+    if params.kappa == 0:
+        return _svd_kernel(params, parity)
     from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
     dim = params.cutoff.dim
     n = dim * dim
     trace_row = sparse.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))), shape=(1, n))
-    bordered = sparse.vstack([trace_row, lsp[1:]], format="csc")
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim))), shape=(1, n))
+    bordered = sparse.vstack([trace_row, lreal[1:]], format="csc")
     try:
         lu = splu(bordered)
     except RuntimeError:  # exactly singular
         return _svd_kernel(params, parity)
-    inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=complex,
-                             rmatvec=lambda x: lu.solve(x, trans="H"))
+    inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=float,
+                             rmatvec=lambda x: lu.solve(x, trans="T"))
     # t=1 keeps the estimate deterministic: larger blocks draw random start
     # columns from numpy's global generator
     cond = norm(bordered, 1) * onenormest(inverse, t=1)
     if cond > 1.0 / _KERNEL_RTOL:
         return _svd_kernel(params, parity)
-    e0 = np.zeros(n, dtype=complex)
+    e0 = np.zeros(n)
     e0[0] = 1.0
     return lu.solve(e0), 1
 
 
-def _kernel_report(params: ModelParams, parity: int, lsp: sparse.csr_matrix,
+def _kernel_report(params: ModelParams, parity: int, lreal: sparse.csr_matrix,
                    kernel: tuple[np.ndarray | None, int], residual_tol: float) -> SteadyReport:
-    """SteadyReport of a kernel vector: hermitized, normalized and audited."""
+    """SteadyReport of a kernel vector in real coordinates: normalized and audited.
+
+    rho is rebuilt from the real vector, so it is Hermitian by construction;
+    the residual is the norm of the real generator applied to the normalized
+    vector, equal to the Frobenius norm of drho/dt because the coordinate map
+    is unitary.
+    """
     dim = params.cutoff.dim
-    v, k_dim = kernel
-    if v is None:
+    x, k_dim = kernel
+    if x is None:
         rho = DensityMatrix(parity, np.eye(dim, dtype=complex) / dim)
         return SteadyReport(False, rho, float("nan"), float("nan"), float("nan"), 0.0,
                             note=f"kernel (dim {k_dim}) contains no trace-class state")
-    rho = v.reshape(dim, dim)
-    rho = (rho + rho.conj().T) / 2.0
-    rho = rho / np.trace(rho).real
+    x = x / x[:dim].sum()
+    rho = (_hermitian_basis(dim).conj().T @ x).reshape(dim, dim)
     ns, bits = _observable_diags(parity, dim)
-    diag = np.diagonal(rho).real
-    residual = float(np.linalg.norm(lsp @ rho.reshape(-1)))
+    diag = x[:dim]
+    residual = float(np.linalg.norm(lreal @ x))
     negativity = float(np.linalg.eigvalsh(rho).min())
     cutoff_note = _cutoff_note(diag, ns, params)
 
@@ -659,8 +672,8 @@ def _kernel_report(params: ModelParams, parity: int, lsp: sparse.csr_matrix,
 
 
 def _steady_null_space(params: ModelParams, parity: int, residual_tol: float) -> SteadyReport:
-    lsp = _liouvillian_sparse(params, parity)
-    return _kernel_report(params, parity, lsp, _direct_kernel(params, parity, lsp),
+    lreal = _liouvillian_real(params, parity)
+    return _kernel_report(params, parity, lreal, _direct_kernel(params, parity, lreal),
                           residual_tol)
 
 
@@ -676,11 +689,13 @@ def steady_state(params: ModelParams, parity: int, method: str = "long_time",
     converged=False with window-averaged observables. It propagates like
     evolve_master, in real coordinates through the same size switch (dense
     RK4 while dim^2 <= 1600, else the sparse Taylor kernel), and builds no
-    dense Liouvillian. null_space solves for the kernel of the vectorized
-    Liouvillian directly: one sparse LU of the Liouvillian with its rho_00
-    row replaced by the trace row. Singular or ill-conditioned points fall back to a dense
-    SVD of the Liouvillian, which reports a degenerate kernel
-    (converged=False) with its dimension. Either route reports
+    dense Liouvillian. The window is counted as the whole number of samples
+    (at least two) it evolves. null_space solves for the kernel of the same
+    real generator directly: one sparse LU of it with its rho_00 row replaced
+    by the trace row. Singular or ill-conditioned points, and every point
+    without loss (kappa = 0), fall back to a dense SVD of the real generator,
+    which reports a degenerate kernel (converged=False) with its dimension.
+    The residual is the Frobenius norm of drho/dt at rho_ss. Either route reports
     converged=False when more than 1e-8 of the population sits in the top
     two Fock levels, i.e. when the cutoff n_max is too tight.
     """

@@ -183,45 +183,3 @@ def parity_operator(cutoff: FockCutoff) -> OperatorMatrix:
             state = BareState(n, EXCITED if bit else GROUND)
             diag[full_index(state)] = parity_of(state)
     return OperatorMatrix(cutoff.full_dim, np.diag(diag).astype(complex), FULL)
-
-
-@dataclass(frozen=True)
-class ChainEmbedding:
-    """Indexing of the full space as the disjoint union of the two chains.
-
-    chain_order[j] is the full-basis index of the j-th state in the
-    concatenated (even chain, odd chain) ordering; inverse_order undoes it:
-    chain_order[inverse_order[i]] == i for every full index i.
-    """
-
-    cutoff: FockCutoff
-    even: ParityChain
-    odd: ParityChain
-    chain_order: np.ndarray
-    inverse_order: np.ndarray
-
-    def chain_position(self, state: BareState) -> tuple[int, int]:
-        """(parity, index within that chain) of a bare state."""
-        return parity_of(state), state.n
-
-    def concat_position(self, state: BareState) -> int:
-        """Index in the concatenated [even | odd] ordering."""
-        p, k = self.chain_position(state)
-        return k if p == EVEN else self.cutoff.dim + k
-
-    def to_chain_order(self, full_vector: np.ndarray) -> np.ndarray:
-        return np.asarray(full_vector)[..., self.chain_order]
-
-    def to_full_order(self, chain_vector: np.ndarray) -> np.ndarray:
-        return np.asarray(chain_vector)[..., self.inverse_order]
-
-
-@lru_cache(maxsize=None)
-def embed_full(cutoff: FockCutoff) -> ChainEmbedding:
-    """Basis map between full tensor-product order and chain order."""
-    even = build_parity_chain(EVEN, cutoff)
-    odd = build_parity_chain(ODD, cutoff)
-    chain_order = np.array([full_index(s) for s in even.states + odd.states])
-    inverse = np.empty_like(chain_order)
-    inverse[chain_order] = np.arange(chain_order.size)
-    return ChainEmbedding(cutoff, even, odd, _frozen(chain_order), _frozen(inverse))

@@ -198,9 +198,11 @@ def _lowering_for(params: ModelParams, basis) -> np.ndarray:
 
 
 def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
-    """Sparse form of `liouvillian_matrix`; about 0.5% of its dim^4 entries are non-zero.
+    """Vectorized Liouvillian, L @ vec(rho) = vec(drho/dt); about 0.5% of its
+    dim^4 entries are non-zero.
 
-    Row-major vec convention, so vec(A rho B) = kron(A, B^T) vec(rho).
+    Row-major vec convention, so vec(A rho B) = kron(A, B^T) vec(rho). The
+    solvers take its real form `_liouvillian_real`.
     """
     h = sparse.csr_matrix(build_hamiltonian(params, basis).entries)
     eye = sparse.identity(h.shape[0], format="csr")
@@ -243,14 +245,3 @@ def _liouvillian_real(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
     """
     u = _hermitian_basis(build_hamiltonian(params, basis).dim)
     return (u @ _liouvillian_sparse(params, basis) @ u.conj().T).real.tocsr()
-
-
-@lru_cache(maxsize=8)
-def liouvillian_matrix(params: ModelParams, basis=EVEN) -> np.ndarray:
-    """Dense copy of `_liouvillian_sparse`, L @ vec(rho) = vec(drho/dt) in row-major vec.
-
-    Only the dense SVD oracle of the steady state uses it; propagation runs
-    on `_liouvillian_real`. The cache is small on purpose: one entry costs
-    dim^4 complex numbers.
-    """
-    return _frozen(_liouvillian_sparse(params, basis).toarray())

@@ -16,7 +16,7 @@ from rabi_relax.analytic import (ajc_doublet, even_peak_position, jc_doublet,
 from rabi_relax.dynamics import (StateVector, evolve_effective, evolve_master,
                                  steady_state, transient_snapshot)
 from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff,
-                                embed_full, parity_of)
+                                build_parity_chain, full_index, parity_of)
 from rabi_relax.model import DensityMatrix, ModelParams, bare_vector
 from rabi_relax.spectra import complex_spectrum, find_exceptional_point
 
@@ -94,8 +94,7 @@ def test_criterion_03_master_equation_conserves_structure():
     traj, _ = evolve_master(rho0, p, np.linspace(0.0, 60.0, 61), store_states=True)
     trace_drift = np.max(np.abs(traj.trace - 1.0))
     min_eig = min(np.min(np.linalg.eigvalsh(s)) for s in traj.states)
-    emb = embed_full(p.cutoff)
-    odd_idx = emb.chain_order[p.cutoff.dim:]
+    odd_idx = [full_index(s) for s in build_parity_chain(ODD, p.cutoff).states]
     leakage = max(np.sum(np.diagonal(s).real[odd_idx]) for s in traj.states)
     elapsed = time.perf_counter() - t0
     report(3, trace_drift <= 1e-8 and min_eig >= -1e-8 and leakage <= 1e-10

@@ -193,6 +193,21 @@ def test_steady_sweep_with_tied_ratio_ignores_jobs(tmp_path, capsys):
     assert rc == 2 and "unknown key 'jobs'" in err
 
 
+def test_lossless_null_space_output_holds_only_the_table(tmp_path):
+    # kappa = 0 keeps every function of H, so the kernel is degenerate. A
+    # sparse LU of that bordered matrix aborts inside SuperLU at n_max 20, and
+    # the BLAS argument errors it raises reach stdout when the process exits.
+    cfg = write_cfg(tmp_path, BASE.replace("kappa = 0.02", "kappa = 0").replace(
+        "n_max = 8", "n_max = 20") + "steady_method = null_space\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "rabi_relax.cli", "steady", "--config", cfg],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("# rabi-relax steady\n")
+    _, rows = rows_of(proc.stdout)
+    assert rows[0][5] == "false"
+
+
 # ------------------------------------------------------------ config errors
 
 @pytest.mark.parametrize("text", [
@@ -227,6 +242,24 @@ def test_non_finite_numbers_exit_with_code_two(tmp_path, capsys, command, key, v
     rc, out, err = run(capsys, command, "--config", cfg)
     assert rc == 2 and out == ""
     assert f"run.cfg:{len(lines)}: {key}: not a finite number: '{value}'" in err
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("sample_dt_tc", "0", 2),
+    ("sample_dt_tc", "-0.25", 2),
+    ("window_tc", "0", 2),
+    ("cap_tc", "-5", 2),
+    ("obs_tol", "-1e-6", 2),
+    ("residual_tol", "-1", 2),
+    ("obs_tol", "0", 0),  # a zero tolerance asks for time averages
+])
+def test_steady_time_and_tolerance_ranges(tmp_path, capsys, key, value, code):
+    cfg = write_cfg(tmp_path, BASE + f"{key} = {value}\n")
+    rc, out, err = run(capsys, "steady", "--config", cfg)
+    assert rc == code
+    if code == 2:
+        assert out == ""
+        assert f"run.cfg:6: {key} must be" in err
 
 
 def test_missing_config_file_exits_with_code_two(capsys):

@@ -5,23 +5,28 @@ vectorized generator with scipy.linalg.expm and solved the stationary kernel
 by SVD on independently rebuilt matrices.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import norm as sparse_norm
 
-from rabi_relax.dynamics import (_PROP_SUPERDIM_MAX, SolverError, StateVector,
+from rabi_relax import dynamics
+from rabi_relax.dynamics import (_KERNEL_RTOL, _PROP_SUPERDIM_MAX, StateVector,
                                  TruncationError, _kernel_report, _master_propagator,
                                  _Rk4Propagator, _rk4_step_matrix, _step_bound,
-                                 _svd_kernel, _TaylorPropagator,
+                                 _TaylorPropagator,
                                  canonical_initial_state, evolve_effective,
                                  evolve_master, observables, steady_map,
                                  steady_state, transient_snapshot,
                                  truncation_check)
 from rabi_relax.analytic import jc_population
-from rabi_relax.hilbert import EVEN, FULL, ODD, BareState, FockCutoff, embed_full
-from rabi_relax.model import (DensityMatrix, ModelParams, _liouvillian_real,
-                              _liouvillian_sparse, bare_vector, liouvillian_matrix)
+from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff, build_parity_chain,
+                                full_index)
+from rabi_relax.model import (DensityMatrix, ModelParams, _hermitian_basis,
+                              _liouvillian_real, _liouvillian_sparse, bare_vector)
 
 FIG_PARAMS = dict(delta=0.8, g1=0.1, g2=0.05, kappa=0.02)
 
@@ -30,6 +35,17 @@ def params(n_max=12, **overrides):
     base = dict(FIG_PARAMS, cutoff=FockCutoff(n_max))
     base.update(overrides)
     return ModelParams(**base)
+
+
+@contextmanager
+def no_densifying():
+    """Context in which densifying any sparse CSR matrix, a generator included, fails."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sparse generator was densified")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse.csr_matrix, "toarray", refuse)
+        yield
 
 
 # -------------------------------------------------------------- master path
@@ -68,8 +84,9 @@ def test_chain_and_full_basis_propagation_agree(n_max):
     assert np.max(np.abs(t_chain.mean_photon - t_full.mean_photon)) < 1e-10
     assert np.max(np.abs(t_chain.qubit_excitation - t_full.qubit_excitation)) < 1e-10
     # the full propagation never leaks into the odd sector
-    emb = embed_full(p.cutoff)
-    arr = rho_full.entries[np.ix_(emb.chain_order, emb.chain_order)]
+    order = [full_index(s) for s in build_parity_chain(EVEN, p.cutoff).states
+             + build_parity_chain(ODD, p.cutoff).states]
+    arr = rho_full.entries[np.ix_(order, order)]
     d = p.cutoff.dim
     assert np.max(np.abs(arr[:d, d:])) < 1e-12
     assert np.max(np.abs(np.diagonal(arr[d:, d:]))) < 1e-12
@@ -84,7 +101,7 @@ def test_dense_route_in_real_coordinates_matches_the_complex_generator():
     assert isinstance(prop, _Rk4Propagator) and prop.gen.dtype == np.float64
     rho0 = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
     traj, _ = evolve_master(rho0, p, np.linspace(0.0, 30.0, 31), store_states=True)
-    lmat = liouvillian_matrix(p, EVEN)
+    lmat = _liouvillian_sparse(p, EVEN).toarray()
     dt = np.pi / p.omega
     m = int(np.ceil(dt / _step_bound(p)))
     rk4 = np.linalg.matrix_power(_rk4_step_matrix(lmat, dt / m), m)
@@ -184,9 +201,8 @@ def test_fig3_dynamics_above_the_size_switch_match_dense_exponential():
     p = params(n_max=40)
     assert p.cutoff.dim ** 2 > _PROP_SUPERDIM_MAX
     rho0 = DensityMatrix.from_bare(p.cutoff, BareState(2, "g"))
-    misses = liouvillian_matrix.cache_info().misses
-    traj, _ = evolve_master(rho0, p, np.linspace(0.0, 60.0, 601), store_states=True)
-    assert liouvillian_matrix.cache_info().misses == misses
+    with no_densifying():
+        traj, _ = evolve_master(rho0, p, np.linspace(0.0, 60.0, 601), store_states=True)
     step = expm(_liouvillian_sparse(p, EVEN).toarray() * (np.pi / p.omega))
     v = rho0.entries.reshape(-1).astype(complex)
     for k in range(1, 61):
@@ -268,6 +284,23 @@ def test_decoupled_kernel_is_degenerate():
     assert rep.residual < 1e-10
 
 
+def complex_svd_kernel(p, parity):
+    """Audit oracle: kernel by dense SVD of the complex Liouvillian on vec(rho).
+
+    Returns the trace-projected kernel vector, rotated into the real
+    coordinates the package solves in, and the kernel dimension.
+    """
+    dim = p.cutoff.dim
+    _, svals, vh = np.linalg.svd(_liouvillian_sparse(p, parity).toarray())
+    kernel = vh[svals < svals[0] * _KERNEL_RTOL].conj()
+    traces = kernel[:, np.arange(dim) * (dim + 1)].sum(axis=1)
+    tnorm = np.linalg.norm(traces)
+    if tnorm < 1e-12:
+        return None, kernel.shape[0]
+    v = (traces.conj() / tnorm) @ kernel
+    return (_hermitian_basis(dim) @ v).real, kernel.shape[0]
+
+
 # couplings down the near-degenerate ladder g1 = g2 -> 0, where the kernel
 # turns two-dimensional below about 1e-4, plus the lossless odd doublet
 @pytest.mark.parametrize("parity", [EVEN, ODD])
@@ -276,7 +309,7 @@ def test_decoupled_kernel_is_degenerate():
 def test_direct_kernel_matches_the_svd_oracle(parity, g1, g2):
     p = params(n_max=8, g1=g1, g2=g2)
     direct = steady_state(p, parity, method="null_space")
-    oracle = _kernel_report(p, parity, _liouvillian_sparse(p, parity), _svd_kernel(p, parity),
+    oracle = _kernel_report(p, parity, _liouvillian_real(p, parity), complex_svd_kernel(p, parity),
                             1e-6)
     assert (direct.converged, direct.note) == (oracle.converged, oracle.note)
     # the oracle's own error grows as eps * sigma_max / sigma_2 of L: 2.5e-12
@@ -294,19 +327,20 @@ def test_direct_kernel_is_exact_where_the_svd_is_ill_conditioned():
     assert rep.mean_photon == pytest.approx(2.4998668464741900473e-05, abs=1e-17)
 
 
-def test_unique_kernel_needs_no_dense_liouvillian():
+def test_unique_kernel_needs_no_dense_liouvillian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a unique kernel reached the dense SVD")
+
+    monkeypatch.setattr(dynamics, "_svd_kernel", refuse)
     p = params(n_max=9, g1=0.37, g2=0.11)
-    misses = liouvillian_matrix.cache_info().misses
     rep = steady_state(p, ODD, method="null_space")
     assert rep.converged
-    assert liouvillian_matrix.cache_info().misses == misses
 
 
 def test_long_time_above_the_size_switch_needs_no_dense_liouvillian():
     p = params(n_max=40)
-    misses = liouvillian_matrix.cache_info().misses
-    rep = steady_state(p, EVEN, method="long_time", window_tc=1.0, cap_tc=2.0)
-    assert liouvillian_matrix.cache_info().misses == misses
+    with no_densifying():
+        rep = steady_state(p, EVEN, method="long_time", window_tc=1.0, cap_tc=2.0)
     assert np.isfinite(rep.residual)
 
 
@@ -330,6 +364,19 @@ def test_lossless_cascade_never_converges():
     assert rep.window_variance > 1e-6
     total = rep.mean_photon + rep.qubit_excitation
     assert total == pytest.approx(1.0, abs=1e-3)
+
+
+def test_long_time_counts_the_window_it_evolves():
+    # window_tc 0.1 rounds up to two 0.25 T_c samples, a 0.5 T_c window, so
+    # a 1.8 T_c cap takes four windows and the report averages t = 1.75 and 2
+    p = params(n_max=8, g2=0.0)
+    rep = steady_state(p, ODD, method="long_time", window_tc=0.1, cap_tc=1.8)
+    assert not rep.converged
+    assert "no convergence by t=2 T_c" in rep.note
+    rho0 = DensityMatrix.from_bare(p.cutoff, canonical_initial_state(ODD))
+    traj, _ = evolve_master(rho0, p, np.linspace(0.0, 2.0, 9))
+    assert rep.mean_photon == pytest.approx(traj.mean_photon[-2:].mean(), abs=1e-12)
+    assert rep.qubit_excitation == pytest.approx(traj.qubit_excitation[-2:].mean(), abs=1e-12)
 
 
 def test_steady_map_preserves_point_order():

@@ -3,7 +3,7 @@ import pytest
 
 from rabi_relax.dynamics import _observable_diags
 from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff,
-                                build_annihilation, build_parity_chain, embed_full,
+                                build_annihilation, build_parity_chain,
                                 full_index, parity_of, parity_operator,
                                 two_photon_lowering)
 
@@ -97,16 +97,13 @@ def test_parity_operator_signs():
             assert diag[full_index(BareState(n, q))] == parity_of(BareState(n, q))
 
 
-def test_embedding_roundtrip():
-    emb = embed_full(CUT)
-    rng = np.random.default_rng(3)
-    vec = rng.normal(size=10) + 1j * rng.normal(size=10)
-    assert np.array_equal(emb.to_full_order(emb.to_chain_order(vec)), vec)
-    # the even block comes first in chain ordering
-    state = BareState(2, "g")
-    parity, pos = emb.chain_position(state)
-    assert parity == EVEN and pos == 2
-    assert emb.chain_order[emb.concat_position(state)] == full_index(state)
+def test_chain_order_is_a_permutation_of_the_full_basis():
+    # the even chain followed by the odd one covers every full index once
+    order = [full_index(s) for s in build_parity_chain(EVEN, CUT).states
+             + build_parity_chain(ODD, CUT).states]
+    assert sorted(order) == list(range(CUT.full_dim))
+    signs = np.diagonal(parity_operator(CUT).entries).real[order]
+    assert np.all(signs[:CUT.dim] == 1.0) and np.all(signs[CUT.dim:] == -1.0)
 
 
 def test_operator_entries_are_frozen():

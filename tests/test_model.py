@@ -3,11 +3,11 @@ import pytest
 from scipy import sparse
 
 from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff, OperatorMatrix,
-                                embed_full)
+                                build_parity_chain, full_index)
 from rabi_relax.model import (DensityMatrix, ModelParams, _hermitian_basis,
                               _liouvillian_real, _liouvillian_sparse, _lowering_for,
                               _pair_decay_diag, bare_vector, build_effective_hamiltonian,
-                              build_hamiltonian, liouvillian_matrix)
+                              build_hamiltonian)
 
 CUT3 = FockCutoff(3)
 CUT5 = FockCutoff(5)
@@ -120,9 +120,10 @@ def test_odd_chain_hamiltonian_matrix():
 
 def test_full_hamiltonian_is_block_diagonal_in_parity():
     p = small_params()
-    emb = embed_full(p.cutoff)
+    order = [full_index(s) for s in build_parity_chain(EVEN, p.cutoff).states
+             + build_parity_chain(ODD, p.cutoff).states]
     Hf = build_hamiltonian(p, FULL).entries
-    permuted = Hf[np.ix_(emb.chain_order, emb.chain_order)]
+    permuted = Hf[np.ix_(order, order)]
     d = p.cutoff.dim
     assert np.allclose(permuted[:d, :d], build_hamiltonian(p, EVEN).entries, atol=1e-14)
     assert np.allclose(permuted[d:, d:], build_hamiltonian(p, ODD).entries, atol=1e-14)
@@ -192,7 +193,7 @@ def test_rhs_matches_vectorized_generator():
         rho = random_density(rng, dim, basis)
         H = build_hamiltonian(p, basis)
         direct = liouvillian_rhs(p, H, rho).reshape(-1)
-        via_matrix = liouvillian_matrix(p, basis) @ rho.entries.reshape(-1)
+        via_matrix = _liouvillian_sparse(p, basis).toarray() @ rho.entries.reshape(-1)
         assert np.max(np.abs(direct - via_matrix)) < 1e-13
 
 
@@ -272,7 +273,7 @@ def test_real_generator_is_the_rotated_liouvillian(n_max, basis):
     assert np.max(np.abs(rotated.imag)) == 0.0
     real = _liouvillian_real(p, basis)
     assert real.dtype == np.float64
-    dense = (u @ liouvillian_matrix(p, basis)) @ u.conj().T
+    dense = (u @ _liouvillian_sparse(p, basis).toarray()) @ u.conj().T
     assert np.max(np.abs(real.toarray() - dense)) < 1e-14
 
 
