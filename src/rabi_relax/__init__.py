@@ -18,8 +18,8 @@ from .dynamics import (SolverError, StateVector, SteadyReport, Trajectory,
                        TruncationError, canonical_initial_state, evolve_effective,
                        evolve_master, observables, steady_map, steady_state,
                        transient_snapshot, truncation_check)
-from .spectra import (ComplexLevel, CrossingEvent, EigenbasisMap, SpectrumSweep,
-                      complex_spectrum, find_avoided_crossings, find_exceptional_point,
+from .spectra import (CrossingEvent, EigenbasisMap, SpectrumSweep, complex_spectrum,
+                      find_avoided_crossings, find_exceptional_point,
                       map_initial_state, sweep_spectrum)
 from .verify import CheckResult, run_all
 
@@ -34,7 +34,7 @@ __all__ = [
     "SolverError", "TruncationError", "StateVector", "Trajectory", "SteadyReport",
     "canonical_initial_state", "evolve_master", "evolve_effective", "observables",
     "steady_state", "steady_map", "transient_snapshot", "truncation_check",
-    "ComplexLevel", "CrossingEvent", "EigenbasisMap", "SpectrumSweep",
+    "CrossingEvent", "EigenbasisMap", "SpectrumSweep",
     "complex_spectrum", "sweep_spectrum", "find_avoided_crossings",
     "find_exceptional_point", "map_initial_state",
     "CheckResult", "run_all",

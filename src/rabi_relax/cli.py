@@ -341,12 +341,14 @@ def _cmd_spectrum(args) -> _Table:
     report_crossings = cfg.take("report_crossings", _as_bool, False)
     gap_threshold = cfg.take("gap_threshold", _as_float, 0.5)
     ep_doublet = cfg.take("ep_doublet", _as_int, None)
+    if ep_doublet is not None and axis != "g1":
+        raise ConfigError(f"{cfg.line_of('ep_doublet')}: ep_doublet requires sweeping g1")
 
     sweep = spectra.sweep_spectrum(params, parity, axis, grid, lam=lam)
 
     omega = params.omega
     rows = []
-    e_mat = sweep.eigenvalue_matrix()
+    e_mat = sweep.eigenvalues
     for k, x in enumerate(grid):
         for b in range(e_mat.shape[0]):
             rows.append((x / omega, PARITY_NAME[parity], b,

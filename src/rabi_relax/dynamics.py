@@ -453,7 +453,7 @@ def evolve_effective(psi0: StateVector, params: ModelParams, t_grid,
     top = _top_levels(ns, params)
 
     times, dts = _time_grid(t_grid, params.omega)
-    gen = -1j * build_effective_hamiltonian(params, basis).entries
+    gen = -1j * build_effective_hamiltonian(params, basis)
     prop = _Rk4Propagator(gen, _step_bound(params))
 
     v = psi0.amplitudes.astype(complex)
@@ -569,15 +569,15 @@ def _cutoff_note(diag: np.ndarray, ns: np.ndarray, params: ModelParams) -> str:
     return ""
 
 
-def _svd_kernel(params: ModelParams, parity: int) -> tuple[np.ndarray | None, int]:
-    """Dense-SVD kernel of the real generator: resolves degenerate kernels.
+def _svd_kernel(params: ModelParams, lreal: sparse.csr_matrix) -> tuple[np.ndarray | None, int]:
+    """Dense-SVD kernel of the real generator lreal: resolves degenerate kernels.
 
     Returns the kernel vector in real coordinates that the trace functional
     (the sum of x[:dim]) projects onto (None when the kernel holds no
     trace-class state) and the kernel dimension.
     """
     dim = params.cutoff.dim
-    _, svals, vh = np.linalg.svd(_liouvillian_real(params, parity).toarray())
+    _, svals, vh = np.linalg.svd(lreal.toarray())
     tol = svals[0] * _KERNEL_RTOL if svals[0] > 0 else _KERNEL_RTOL
     kernel = vh[svals < tol]
     k_dim = kernel.shape[0]
@@ -606,7 +606,7 @@ def _direct_kernel(params: ModelParams, parity: int,
     bordered matrix, and the BLAS argument errors it raises reach stdout.
     """
     if params.kappa == 0:
-        return _svd_kernel(params, parity)
+        return _svd_kernel(params, lreal)
     from scipy.sparse.linalg import LinearOperator, norm, onenormest, splu
 
     dim = params.cutoff.dim
@@ -617,14 +617,14 @@ def _direct_kernel(params: ModelParams, parity: int,
     try:
         lu = splu(bordered)
     except RuntimeError:  # exactly singular
-        return _svd_kernel(params, parity)
+        return _svd_kernel(params, lreal)
     inverse = LinearOperator(bordered.shape, matvec=lu.solve, dtype=float,
                              rmatvec=lambda x: lu.solve(x, trans="T"))
     # t=1 keeps the estimate deterministic: larger blocks draw random start
     # columns from numpy's global generator
     cond = norm(bordered, 1) * onenormest(inverse, t=1)
     if cond > 1.0 / _KERNEL_RTOL:
-        return _svd_kernel(params, parity)
+        return _svd_kernel(params, lreal)
     e0 = np.zeros(n)
     e0[0] = 1.0
     return lu.solve(e0), 1

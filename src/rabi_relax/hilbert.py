@@ -21,7 +21,6 @@ import numpy as np
 EVEN = +1
 ODD = -1
 FULL = "full"
-PHOTON = "photon"
 
 GROUND = "g"
 EXCITED = "e"
@@ -32,7 +31,6 @@ SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
 
 CHAIN_TAGS = (EVEN, ODD)
-BASIS_TAGS = (EVEN, ODD, FULL, PHOTON)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -126,60 +124,43 @@ def build_parity_chain(parity: int, cutoff: FockCutoff) -> ParityChain:
     return ParityChain(parity, tuple(states))
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex matrix together with the basis it is expressed in."""
-
-    dim: int
-    entries: np.ndarray
-    basis_tag: object  # one of EVEN, ODD, FULL, PHOTON
-
-    def __post_init__(self):
-        if self.basis_tag not in BASIS_TAGS:
-            raise ValueError(f"unknown basis tag {self.basis_tag!r}")
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}, got {arr.shape}")
-        object.__setattr__(self, "entries", _frozen(arr))
-
-
 def full_index(state: BareState) -> int:
     """Position of |n,q> in the tensor-product ordering (qubit varies fastest)."""
     return 2 * state.n + state.excitation
 
 
 @lru_cache(maxsize=None)
-def build_annihilation(cutoff: FockCutoff) -> OperatorMatrix:
-    """Photon annihilation operator a on the truncated Fock space."""
+def build_annihilation(cutoff: FockCutoff) -> np.ndarray:
+    """Photon annihilation operator a on the truncated Fock space (read-only)."""
     a = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
     ns = np.arange(1, cutoff.dim)
     a[ns - 1, ns] = np.sqrt(ns)
-    return OperatorMatrix(cutoff.dim, a, PHOTON)
+    return _frozen(a)
 
 
 @lru_cache(maxsize=None)
-def two_photon_lowering(cutoff: FockCutoff, basis=PHOTON) -> OperatorMatrix:
-    """a^2 on the requested basis.
+def two_photon_lowering(cutoff: FockCutoff, basis) -> np.ndarray:
+    """a^2 on a parity chain or the full basis (read-only).
 
     On either chain the matrix is identical to the photon-space one: chain
     index equals photon number, the qubit label is untouched, and states two
     rungs apart share it, so a^2 stays inside the chain.
     """
-    a = build_annihilation(cutoff).entries
+    a = build_annihilation(cutoff)
     a2 = a @ a
-    if basis in (PHOTON, EVEN, ODD):
-        return OperatorMatrix(cutoff.dim, a2, basis)
+    if basis in CHAIN_TAGS:
+        return _frozen(a2)
     if basis == FULL:
-        return OperatorMatrix(cutoff.full_dim, np.kron(a2, np.eye(2)), FULL)
+        return _frozen(np.kron(a2, np.eye(2)))
     raise ValueError(f"unknown basis tag {basis!r}")
 
 
 @lru_cache(maxsize=None)
-def parity_operator(cutoff: FockCutoff) -> OperatorMatrix:
-    """P = -sigma_z exp(i pi a^dag a) on the full basis (diagonal, entries +-1)."""
+def parity_operator(cutoff: FockCutoff) -> np.ndarray:
+    """P = -sigma_z exp(i pi a^dag a) on the full basis, as its read-only +-1 diagonal."""
     diag = np.empty(cutoff.full_dim)
     for n in range(cutoff.dim):
         for bit in (0, 1):
             state = BareState(n, EXCITED if bit else GROUND)
             diag[full_index(state)] = parity_of(state)
-    return OperatorMatrix(cutoff.full_dim, np.diag(diag).astype(complex), FULL)
+    return _frozen(diag)

@@ -14,6 +14,7 @@ combined parity, so all operators are block diagonal over the two chains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -26,7 +27,6 @@ from .hilbert import (
     CHAIN_TAGS,
     BareState,
     FockCutoff,
-    OperatorMatrix,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
@@ -144,9 +144,8 @@ def bare_vector(cutoff: FockCutoff, state: BareState, basis=None) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=256)
-def build_hamiltonian(params: ModelParams, basis=EVEN) -> OperatorMatrix:
-    """Full coupling Hamiltonian on the requested basis.
+def build_hamiltonian(params: ModelParams, basis=EVEN) -> np.ndarray:
+    """Full coupling Hamiltonian on the requested basis, as a new complex array.
 
     On a chain the matrix is real tridiagonal: entry (k, k) is
     k*omega +- delta/2, and the (k, k+1) coupling is sqrt(k+1) times g1 when
@@ -163,18 +162,17 @@ def build_hamiltonian(params: ModelParams, basis=EVEN) -> OperatorMatrix:
         h = np.diag(diag).astype(complex)
         h[np.arange(cut.dim - 1), np.arange(1, cut.dim)] = hop
         h[np.arange(1, cut.dim), np.arange(cut.dim - 1)] = hop
-        return OperatorMatrix(cut.dim, h, basis)
+        return h
     if basis == FULL:
-        a = build_annihilation(cut).entries
+        a = build_annihilation(cut)
         ad = a.conj().T
         eye = np.eye(cut.dim)
-        h = (
+        return (
             params.omega * np.kron(ad @ a, np.eye(2))
             + params.delta / 2.0 * np.kron(eye, SIGMA_Z)
             + params.g1 * (np.kron(a, SIGMA_PLUS) + np.kron(ad, SIGMA_MINUS))
             + params.g2 * (np.kron(ad, SIGMA_PLUS) + np.kron(a, SIGMA_MINUS))
         )
-        return OperatorMatrix(cut.full_dim, h, FULL)
     raise ValueError(f"unknown basis tag {basis!r}")
 
 
@@ -185,16 +183,11 @@ def _pair_decay_diag(cutoff: FockCutoff, basis) -> np.ndarray:
     return d if basis in CHAIN_TAGS else np.repeat(d, 2)
 
 
-@lru_cache(maxsize=256)
-def build_effective_hamiltonian(params: ModelParams, basis=EVEN) -> OperatorMatrix:
+def build_effective_hamiltonian(params: ModelParams, basis=EVEN) -> np.ndarray:
     """H_eff = H - i kappa (a^dag)^2 a^2; the added diagonal is -i kappa n(n-1)."""
-    h = build_hamiltonian(params, basis).entries.copy()
+    h = build_hamiltonian(params, basis)
     h[np.diag_indices_from(h)] -= 1j * params.kappa * _pair_decay_diag(params.cutoff, basis)
-    return OperatorMatrix(h.shape[0], h, basis)
-
-
-def _lowering_for(params: ModelParams, basis) -> np.ndarray:
-    return two_photon_lowering(params.cutoff, basis).entries
+    return h
 
 
 def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
@@ -204,11 +197,11 @@ def _liouvillian_sparse(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
     Row-major vec convention, so vec(A rho B) = kron(A, B^T) vec(rho). The
     solvers take its real form `_liouvillian_real`.
     """
-    h = sparse.csr_matrix(build_hamiltonian(params, basis).entries)
+    h = sparse.csr_matrix(build_hamiltonian(params, basis))
     eye = sparse.identity(h.shape[0], format="csr")
     lmat = -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
     if params.kappa > 0:
-        a2 = sparse.csr_matrix(_lowering_for(params, basis))
+        a2 = sparse.csr_matrix(two_photon_lowering(params.cutoff, basis))
         kdiag = sparse.diags(_pair_decay_diag(params.cutoff, basis))
         lmat = lmat + 2.0 * params.kappa * sparse.kron(a2, a2.conj())
         lmat = lmat - params.kappa * (sparse.kron(kdiag, eye) + sparse.kron(eye, kdiag))
@@ -243,5 +236,6 @@ def _liouvillian_real(params: ModelParams, basis=EVEN) -> sparse.csr_matrix:
     L maps Hermitian matrices to Hermitian matrices, so U L U^H is real; the
     imaginary part the product carries is exactly zero and is dropped.
     """
-    u = _hermitian_basis(build_hamiltonian(params, basis).dim)
-    return (u @ _liouvillian_sparse(params, basis) @ u.conj().T).real.tocsr()
+    lmat = _liouvillian_sparse(params, basis)
+    u = _hermitian_basis(math.isqrt(lmat.shape[0]))
+    return (u @ lmat @ u.conj().T).real.tocsr()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import CHAIN_TAGS, EVEN, ODD
+from .hilbert import CHAIN_TAGS, EVEN, ODD, _frozen
 from .model import ModelParams, build_effective_hamiltonian
 
 SWEEP_AXES = ("g1", "g2", "delta", "kappa")
@@ -52,7 +52,7 @@ def complex_spectrum(params: ModelParams, parity) -> tuple[np.ndarray, np.ndarra
     """
     if parity not in CHAIN_TAGS:
         raise ValueError(f"spectrum is defined per parity sector, got {parity!r}")
-    heff = build_effective_hamiltonian(params, parity).entries
+    heff = build_effective_hamiltonian(params, parity)
     try:
         w, vmat = np.linalg.eig(heff)
     except np.linalg.LinAlgError as exc:
@@ -69,26 +69,21 @@ def complex_spectrum(params: ModelParams, parity) -> tuple[np.ndarray, np.ndarra
 
 
 @dataclass(frozen=True)
-class ComplexLevel:
-    """One tracked branch: label (parity, index at sweep start), values per point."""
-
-    label: tuple
-    values: np.ndarray
-    weak_link: np.ndarray  # True where the ancestry overlap dropped below 0.5
-
-
-@dataclass(frozen=True)
 class SpectrumSweep:
+    """Tracked sector spectrum over a sweep grid.
+
+    eigenvalues and weak_link are read-only (n_levels, n_points) arrays; row b
+    is the branch that starts as level b at the first grid point. weak_link is
+    True where that branch's ancestry overlap dropped below 0.5.
+    """
+
     axis: str
     values: np.ndarray
     parity: int
-    levels: tuple
+    eigenvalues: np.ndarray
+    weak_link: np.ndarray
     base: ModelParams
     lam: float | None = None
-
-    def eigenvalue_matrix(self) -> np.ndarray:
-        """(n_levels, n_points) complex array in branch-label order."""
-        return np.vstack([lvl.values for lvl in self.levels])
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -133,11 +128,8 @@ def sweep_spectrum(params: ModelParams, parity, axis: str, grid,
         values[:, k] = w_prev
         weak[:, k] = overlap[np.arange(dim), perm] < _WEAK_OVERLAP
 
-    levels = tuple(
-        ComplexLevel(label=(parity, b), values=values[b].copy(), weak_link=weak[b].copy())
-        for b in range(dim))
-    return SpectrumSweep(axis=axis, values=vals, parity=parity, levels=levels,
-                         base=params, lam=lam)
+    return SpectrumSweep(axis=axis, values=vals, parity=parity, eigenvalues=_frozen(values),
+                         weak_link=_frozen(weak), base=params, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -169,9 +161,8 @@ def _pair_at(sweep: SpectrumSweep, x: float, b: int, k_ref: int) -> tuple[comple
     """
     w, _ = complex_spectrum(_point_params(sweep.base, sweep.axis, x, sweep.lam),
                             sweep.parity)
-    e_mat = sweep.eigenvalue_matrix()
-    i = int(np.abs(w - e_mat[b, k_ref]).argmin())
-    dist_j = np.abs(w - e_mat[b + 1, k_ref])
+    i = int(np.abs(w - sweep.eigenvalues[b, k_ref]).argmin())
+    dist_j = np.abs(w - sweep.eigenvalues[b + 1, k_ref])
     dist_j[i] = np.inf
     j = int(dist_j.argmin())
     return w[i], w[j]
@@ -191,7 +182,7 @@ def find_avoided_crossings(sweep: SpectrumSweep, gap_threshold: float = 0.5,
     """
     from scipy.optimize import brentq
 
-    e_mat = sweep.eigenvalue_matrix()
+    e_mat = sweep.eigenvalues
     x = sweep.values
     if x.size < 3:
         return []
@@ -273,13 +264,14 @@ def find_exceptional_point(params: ModelParams, n: int, g1_grid=None,
     parity = _hosting_parity(n)
     center = (n + 0.5) * params.omega - 1j * params.kappa * n * n
 
-    def split(g1: float) -> tuple[complex, complex]:
+    def split(g1: float) -> tuple[complex, complex, tuple]:
+        """The two eigenvalues closest to the doublet center, and their level indices."""
         w, _ = complex_spectrum(dataclasses.replace(params, g1=float(g1)), parity)
-        order = np.abs(w - center).argsort()
-        return w[order[0]], w[order[1]]
+        i, j = np.abs(w - center).argsort()[:2]
+        return w[i], w[j], (int(i), int(j))
 
     def disc(g1: float) -> float:
-        ei, ej = split(g1)
+        ei, ej, _ = split(g1)
         return abs(ei.real - ej.real) - abs(ei.imag - ej.imag)
 
     if g1_grid is None:
@@ -294,10 +286,8 @@ def find_exceptional_point(params: ModelParams, n: int, g1_grid=None,
     if bracket is None:
         return None
     g1_star = float(brentq(disc, *bracket, xtol=tol))
-    ei, ej = split(g1_star)
-    w, _ = complex_spectrum(dataclasses.replace(params, g1=g1_star), parity)
-    idx = tuple(sorted((int(np.abs(w - ei).argmin()), int(np.abs(w - ej).argmin()))))
-    return CrossingEvent(kind="exceptional", axis="g1", value=g1_star, levels=idx,
+    ei, ej, pair = split(g1_star)
+    return CrossingEvent(kind="exceptional", axis="g1", value=g1_star, levels=tuple(sorted(pair)),
                          gap=abs(ei - ej), re_gap=abs(ei.real - ej.real),
                          im_gap=abs(ei.imag - ej.imag), degenerate=True)
 

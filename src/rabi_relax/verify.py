@@ -108,7 +108,7 @@ def check_conservation(params: ModelParams, initial: BareState) -> CheckResult:
                                          store_states=True)
     trace_drift = float(np.abs(traj.trace - 1.0).max())
     purity_excess = float((traj.purity - 1.0).max())
-    par_diag = np.diagonal(parity_operator(params.cutoff).entries).real
+    par_diag = parity_operator(params.cutoff)
     par = np.array([np.diagonal(s).real @ par_diag for s in traj.states])
     parity_drift = float(np.abs(par - par[0]).max())
     wrong = par_diag != float(parity_of(initial))

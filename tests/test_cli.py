@@ -274,6 +274,22 @@ def test_sweep_needs_increasing_bounds(tmp_path, capsys):
     assert rc == 2 and "sweep" in err
 
 
+@pytest.mark.parametrize("axis, start, stop", [
+    ("delta", 0.5, 1.5),
+    ("kappa", 0.01, 0.03),
+    ("g2", 0.0, 0.05),
+])
+def test_exceptional_point_search_needs_a_g1_sweep(tmp_path, capsys, axis, start, stop):
+    # the search bisects over g1, so another sweep axis has no g1 grid to give it
+    cfg = write_cfg(tmp_path,
+                    "delta = 1\ng1 = 0.01\ng2 = 0\nkappa = 0.02\nn_max = 10\nep_doublet = 1\n"
+                    f"sweep_axis = {axis}\nsweep_start = {start}\nsweep_stop = {stop}\n"
+                    "sweep_points = 5\n")
+    rc, out, err = run(capsys, "spectrum", "--config", cfg)
+    assert rc == 2 and out == ""
+    assert "run.cfg:6: ep_doublet requires sweeping g1" in err
+
+
 def test_unsupported_initial_support_exits_with_code_three(tmp_path, capsys):
     cfg = write_cfg(tmp_path,
                     "delta = 0.8\ng1 = 0.1\ng2 = 0.05\nkappa = 0.02\nn_max = 5\n"

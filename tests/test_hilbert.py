@@ -49,25 +49,25 @@ def test_cutoff_validation():
 
 
 def test_two_photon_lowering_on_chain():
-    a2 = two_photon_lowering(CUT, EVEN).entries
+    a2 = two_photon_lowering(CUT, EVEN)
     expected = np.zeros((5, 5))
     for k in range(2, 5):
         expected[k - 2, k] = np.sqrt(k * (k - 1))
     assert np.allclose(a2, expected, rtol=0, atol=1e-14)
     # both chains carry the same photon-pair matrix
-    assert np.array_equal(a2, two_photon_lowering(CUT, ODD).entries)
+    assert np.array_equal(a2, two_photon_lowering(CUT, ODD))
 
 
 def test_two_photon_lowering_full_basis_is_kron():
-    a = build_annihilation(CUT).entries
+    a = build_annihilation(CUT)
     expected = np.kron(a @ a, np.eye(2))
-    assert np.allclose(two_photon_lowering(CUT, FULL).entries, expected, atol=0, rtol=0)
+    assert np.allclose(two_photon_lowering(CUT, FULL), expected, atol=0, rtol=0)
 
 
 def test_truncated_commutator_deviation_is_confined_to_the_corner():
     # [a, a+] = 1 everywhere except the top Fock level, an unavoidable
     # truncation artifact that motivates the support guard in dynamics
-    a = build_annihilation(CUT).entries
+    a = build_annihilation(CUT)
     comm = a @ a.T - a.T @ a
     expected = np.eye(5)
     expected[-1, -1] = -CUT.n_max
@@ -91,7 +91,7 @@ def test_full_index_interleaves_qubit_fastest():
 
 
 def test_parity_operator_signs():
-    diag = np.diagonal(parity_operator(CUT).entries).real
+    diag = parity_operator(CUT)
     for n in range(5):
         for q in ("g", "e"):
             assert diag[full_index(BareState(n, q))] == parity_of(BareState(n, q))
@@ -102,12 +102,12 @@ def test_chain_order_is_a_permutation_of_the_full_basis():
     order = [full_index(s) for s in build_parity_chain(EVEN, CUT).states
              + build_parity_chain(ODD, CUT).states]
     assert sorted(order) == list(range(CUT.full_dim))
-    signs = np.diagonal(parity_operator(CUT).entries).real[order]
+    signs = parity_operator(CUT)[order]
     assert np.all(signs[:CUT.dim] == 1.0) and np.all(signs[CUT.dim:] == -1.0)
 
 
 def test_operator_entries_are_frozen():
     a = build_annihilation(CUT)
-    assert not a.entries.flags.writeable
+    assert not a.flags.writeable
     with pytest.raises(ValueError):
-        a.entries[0, 0] = 5.0
+        a[0, 0] = 5.0

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff, OperatorMatrix,
-                                build_parity_chain, full_index)
+from rabi_relax.hilbert import (EVEN, FULL, ODD, BareState, FockCutoff, build_parity_chain,
+                                full_index, two_photon_lowering)
 from rabi_relax.model import (DensityMatrix, ModelParams, _hermitian_basis,
-                              _liouvillian_real, _liouvillian_sparse, _lowering_for,
-                              _pair_decay_diag, bare_vector, build_effective_hamiltonian,
-                              build_hamiltonian)
+                              _liouvillian_real, _liouvillian_sparse, _pair_decay_diag,
+                              bare_vector, build_effective_hamiltonian, build_hamiltonian)
 
 CUT3 = FockCutoff(3)
 CUT5 = FockCutoff(5)
@@ -25,7 +24,8 @@ def apply_dissipator(params: ModelParams, rho: DensityMatrix) -> np.ndarray:
     exact Lindblad pair with its own anticommutator); what truncation costs is
     the missing feed from above n_max, not trace conservation.
     """
-    return _dissipator_action(rho.entries, params.kappa, _lowering_for(params, rho.basis_tag),
+    return _dissipator_action(rho.entries, params.kappa,
+                              two_photon_lowering(params.cutoff, rho.basis_tag),
                               _pair_decay_diag(params.cutoff, rho.basis_tag))
 
 
@@ -38,19 +38,18 @@ def _dissipator_action(arr: np.ndarray, kappa: float, a2: np.ndarray, kdiag: np.
     return feed
 
 
-def liouvillian_rhs(params: ModelParams, H: OperatorMatrix, rho: DensityMatrix) -> np.ndarray:
-    """-i[H, rho] + D[a^2] rho."""
-    h = H.entries
+def liouvillian_rhs(params: ModelParams, h: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """-i[H, rho] + D[a^2] rho for the Hamiltonian array h."""
     arr = rho.entries
     return -1j * (h @ arr - arr @ h) + apply_dissipator(params, rho)
 
 
 def split_jump(params: ModelParams, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(-i(H_eff rho - rho H_eff^dag), 2k a^2 rho (a^dag)^2); sums to liouvillian_rhs."""
-    heff = build_effective_hamiltonian(params, rho.basis_tag).entries
+    heff = build_effective_hamiltonian(params, rho.basis_tag)
     arr = rho.entries
     effective = -1j * (heff @ arr - arr @ heff.conj().T)
-    a2 = _lowering_for(params, rho.basis_tag)
+    a2 = two_photon_lowering(params.cutoff, rho.basis_tag)
     jump = 2.0 * params.kappa * (a2 @ arr @ a2.conj().T)
     return effective, jump
 
@@ -96,7 +95,7 @@ def test_coupling_ratio_helpers():
 
 def test_even_chain_hamiltonian_matrix():
     p = small_params(cutoff=CUT3)
-    H = build_hamiltonian(p, EVEN).entries
+    H = build_hamiltonian(p, EVEN)
     # ladder |0,g>,|1,e>,|2,g>,|3,e>: counter-rotating hop off the ground
     # states, rotating hop off the excited ones
     expected = np.array([
@@ -109,7 +108,7 @@ def test_even_chain_hamiltonian_matrix():
 
 def test_odd_chain_hamiltonian_matrix():
     p = small_params(cutoff=CUT3)
-    H = build_hamiltonian(p, ODD).entries
+    H = build_hamiltonian(p, ODD)
     expected = np.array([
         [0.4, 0.1, 0.0, 0.0],
         [0.1, 0.6, 0.05 * np.sqrt(2.0), 0.0],
@@ -122,18 +121,18 @@ def test_full_hamiltonian_is_block_diagonal_in_parity():
     p = small_params()
     order = [full_index(s) for s in build_parity_chain(EVEN, p.cutoff).states
              + build_parity_chain(ODD, p.cutoff).states]
-    Hf = build_hamiltonian(p, FULL).entries
+    Hf = build_hamiltonian(p, FULL)
     permuted = Hf[np.ix_(order, order)]
     d = p.cutoff.dim
-    assert np.allclose(permuted[:d, :d], build_hamiltonian(p, EVEN).entries, atol=1e-14)
-    assert np.allclose(permuted[d:, d:], build_hamiltonian(p, ODD).entries, atol=1e-14)
+    assert np.allclose(permuted[:d, :d], build_hamiltonian(p, EVEN), atol=1e-14)
+    assert np.allclose(permuted[d:, d:], build_hamiltonian(p, ODD), atol=1e-14)
     assert np.max(np.abs(permuted[:d, d:])) == 0.0
 
 
 def test_effective_hamiltonian_adds_pair_decay_widths():
     p = small_params(cutoff=CUT3)
-    H = build_hamiltonian(p, EVEN).entries
-    Heff = build_effective_hamiltonian(p, EVEN).entries
+    H = build_hamiltonian(p, EVEN)
+    Heff = build_effective_hamiltonian(p, EVEN)
     assert np.allclose(Heff.real, H.real, atol=0)
     widths = -np.diagonal(Heff).imag
     assert np.allclose(widths, 0.02 * np.array([0.0, 0.0, 2.0, 6.0]), atol=1e-16)
@@ -268,7 +267,7 @@ def test_hermitian_basis_is_unitary_with_two_entries_per_row(dim):
 def test_real_generator_is_the_rotated_liouvillian(n_max, basis):
     p = ModelParams(**FIG3, cutoff=FockCutoff(n_max))
     lmat = _liouvillian_sparse(p, basis)
-    u = _hermitian_basis(build_hamiltonian(p, basis).dim)
+    u = _hermitian_basis(build_hamiltonian(p, basis).shape[0])
     rotated = (u @ lmat @ u.conj().T).toarray()
     assert np.max(np.abs(rotated.imag)) == 0.0
     real = _liouvillian_real(p, basis)

@@ -28,7 +28,7 @@ def test_spectrum_is_sorted_and_complete():
 def test_eigenvalue_sum_equals_generator_trace():
     p = params(g1=0.23, g2=0.17)
     w, _ = complex_spectrum(p, ODD)
-    heff = build_effective_hamiltonian(p, ODD).entries
+    heff = build_effective_hamiltonian(p, ODD)
     assert np.sum(w) == pytest.approx(np.trace(heff), abs=1e-10)
 
 
@@ -43,7 +43,7 @@ def test_decay_rates_are_never_negative():
 def test_eigenpairs_satisfy_the_effective_hamiltonian():
     p = params(g1=0.3, g2=0.1)
     w, vmat = complex_spectrum(p, EVEN)
-    heff = build_effective_hamiltonian(p, EVEN).entries
+    heff = build_effective_hamiltonian(p, EVEN)
     assert np.max(np.abs(heff @ vmat - vmat * w)) < 1e-12
 
 
@@ -53,18 +53,18 @@ def test_single_point_sweep_reproduces_the_spectrum():
     p = params()
     sweep = sweep_spectrum(p, EVEN, "g1", np.array([0.1]))
     w, _ = complex_spectrum(p, EVEN)
-    assert sweep.eigenvalue_matrix().shape == (13, 1)
-    assert np.allclose(sweep.eigenvalue_matrix()[:, 0], w, atol=1e-13)
+    assert sweep.eigenvalues.shape == (13, 1)
+    assert np.allclose(sweep.eigenvalues[:, 0], w, atol=1e-13)
 
 
 def test_sweep_levels_are_branch_continuous():
     p = params()
     grid = np.linspace(0.02, 0.6, 80)
     sweep = sweep_spectrum(p, EVEN, "g1", grid)
-    mat = sweep.eigenvalue_matrix()
+    mat = sweep.eigenvalues
     # continuation keeps steps small even where the sorted order reshuffles
     assert np.max(np.abs(np.diff(mat, axis=1))) < 0.08
-    assert not any(level.weak_link.any() for level in sweep.levels)
+    assert not sweep.weak_link.any()
 
 
 def test_reversed_sweep_traces_the_same_branches():
@@ -72,8 +72,8 @@ def test_reversed_sweep_traces_the_same_branches():
     # two branch families as sets of curves rather than row by row
     p = params()
     grid = np.linspace(0.02, 0.5, 60)
-    fwd = sweep_spectrum(p, EVEN, "g1", grid).eigenvalue_matrix()
-    bwd = sweep_spectrum(p, EVEN, "g1", grid[::-1]).eigenvalue_matrix()[:, ::-1]
+    fwd = sweep_spectrum(p, EVEN, "g1", grid).eigenvalues
+    bwd = sweep_spectrum(p, EVEN, "g1", grid[::-1]).eigenvalues[:, ::-1]
     for row in fwd:
         closest = np.min(np.max(np.abs(bwd - row[None, :]), axis=1))
         assert closest < 1e-9
@@ -84,7 +84,7 @@ def test_sweep_with_tied_ratio_moves_both_couplings():
     grid = np.linspace(0.05, 0.2, 4)
     sweep = sweep_spectrum(p, EVEN, "g1", grid, lam=0.5)
     ref = complex_spectrum(p.with_ratio(0.2, 0.5), EVEN)[0]
-    assert np.allclose(np.sort(sweep.eigenvalue_matrix()[:, -1].real), np.sort(ref.real),
+    assert np.allclose(np.sort(sweep.eigenvalues[:, -1].real), np.sort(ref.real),
                        atol=1e-12)
     assert sweep.lam == 0.5
 
